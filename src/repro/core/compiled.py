@@ -35,11 +35,13 @@ Lowering (:class:`CompiledRSPN`):
     jitted tape interpreter over the plan's flattened instruction
     stream.
 
-- Leaves keep pointers to the live leaf objects: their histograms are
-  *not* baked, so leaf-level inserts/deletes never stale the compiled
-  form.  Only structure and sum-node weights are frozen, which is why
-  :func:`invalidate` must be called whenever sum counts change
-  (:mod:`repro.core.updates` does this).
+- Leaves keep pointers to the live leaf objects.  Structure and
+  sum-node weights are frozen at lowering, and the first sweep that
+  conditions on a scope additionally bakes that scope's discrete
+  histograms into a fused table (below) -- which is why
+  :func:`invalidate` or :func:`refresh_weights` must be called
+  whenever sum counts *or leaf histograms* change
+  (:mod:`repro.core.updates` does this); both drop the tables.
 
 Accumulation order is **pinned** (see :mod:`repro.core.kernels`): sum
 and product nodes accumulate children left to right with the weight
@@ -59,10 +61,18 @@ Batched evaluation (:meth:`CompiledRSPN.evaluate_batch`):
 - The batch's ``(range, transform)`` pairs are deduplicated **once per
   scope** (every leaf row of a scope sees the same pairs), the shared
   interval flattening is computed once per scope
-  (:class:`~repro.core.leaves.PreparedBatch`), and each leaf then
-  evaluates only the distinct pairs; a GROUP BY over ``k`` groups
-  touches the grouped column with ``k`` distinct ranges but every other
-  predicate column with exactly one.
+  (:class:`~repro.core.leaves.PreparedBatch`), and only the distinct
+  pairs are evaluated; a GROUP BY over ``k`` groups touches the grouped
+  column with ``k`` distinct ranges but every other predicate column
+  with exactly one.
+- The fill is **scope-fused**: all ``DiscreteLeaf`` rows of a touched
+  scope are evaluated in one pass over a per-scope table
+  (:class:`~repro.core.leaves.DiscreteScopeTable`: union value domain,
+  dense count matrix, row-wise prefix sums) built lazily on the
+  scope's first touch and cached on the compiled form, instead of one
+  ``evaluate_batch`` call per leaf -- bit-identical to the per-leaf
+  kernel, which the ``legacy`` sweep keeps using as the oracle.
+  ``BinnedLeaf`` rows keep the per-leaf path.
 - Large batches are evaluated in bounded-memory chunks that *reuse* one
   leased arena (no per-chunk allocation; ``arena_allocations`` counts
   pool misses).
@@ -86,6 +96,7 @@ from repro.core import kernels
 from repro.core.leaves import (
     BinnedLeaf,
     DiscreteLeaf,
+    DiscreteScopeTable,
     PreparedBatch,
     product_transform,
     transform_dedup_key,
@@ -511,6 +522,7 @@ class CompiledRSPN:
 
         self.plan = _FusedPlan(order, index_of, heights, self.root_row)
 
+        self._scope_tables: dict = {}
         # Arena pool + sweep telemetry (kernel_stats / serving /stats).
         self._pool_lock = threading.Lock()
         self._arena_pool: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -679,10 +691,12 @@ class CompiledRSPN:
         leaf rows of a scope see identical pairs, the legacy per-row
         dedup recomputed (and re-hashed) them for every row -- and the
         flattened interval arrays are shared across the scope's rows
-        via :class:`~repro.core.leaves.PreparedBatch`.
+        via :class:`~repro.core.leaves.PreparedBatch`.  The scope's
+        ``DiscreteLeaf`` rows are then filled in one pass by its fused
+        :class:`~repro.core.leaves.DiscreteScopeTable`; other leaf
+        kinds evaluate per leaf.
         """
         for scope_index, qcols in self._touched_scopes(specs).items():
-            entries = self.plan.leaf_slots_by_scope[scope_index]
             slots_map: dict = {}
             composed: dict = {}
             ranges, transforms = [], []
@@ -712,7 +726,12 @@ class CompiledRSPN:
                 assign[k] = slot
             prepared = PreparedBatch(ranges, transforms)
             cols = np.asarray(qcols, dtype=np.intp)
-            for leaf_slot, leaf in entries:
+            table, per_leaf = self._scope_table(scope_index)
+            if table is not None:
+                arena[table.slots[:, None], cols] = (
+                    table.evaluate(prepared)[:, assign]
+                )
+            for leaf_slot, leaf in per_leaf:
                 batch = getattr(leaf, "evaluate_batch", None)
                 if batch is not None:
                     try:
@@ -728,6 +747,28 @@ class CompiledRSPN:
                         dtype=float,
                     )
                 arena[leaf_slot, cols] = distinct[assign]
+
+    def _scope_table(self, scope_index):
+        """``(table, per_leaf)`` for one scope: the fused
+        :class:`~repro.core.leaves.DiscreteScopeTable` over its
+        ``DiscreteLeaf`` rows (``None`` when it has none) and the
+        ``(slot, leaf)`` entries of every other leaf kind, which keep
+        the per-leaf fill.  Built on the first query that conditions on
+        the scope -- never at load, start-up or learn -- and dropped by
+        :meth:`drop_scope_tables`."""
+        cached = self._scope_tables.get(scope_index)
+        if cached is None:
+            entries = self.plan.leaf_slots_by_scope[scope_index]
+            fused = [e for e in entries if type(e[1]) is DiscreteLeaf]
+            per_leaf = tuple(e for e in entries if type(e[1]) is not DiscreteLeaf)
+            cached = (DiscreteScopeTable(fused) if fused else None, per_leaf)
+            self._scope_tables[scope_index] = cached
+        return cached
+
+    def drop_scope_tables(self):
+        """Forget the fused leaf tables: they bake leaf histograms, so
+        every mutation path calls this before the next sweep."""
+        self._scope_tables = {}
 
     def _touched_leaves(self, specs):
         """Map ``row -> [query column, ...]`` of leaf entries to fill."""
@@ -829,6 +870,7 @@ class CompiledRSPN:
         this form has no node back-references (tape-restored mapped
         forms): the caller falls back to a full recompile.
         """
+        self.drop_scope_tables()  # leaf payloads moved with the counts
         level_sums = getattr(self, "_level_sums", None)
         if level_sums is None or not self.plan.refresh_weights():
             return False
@@ -847,6 +889,10 @@ class CompiledRSPN:
             allocations = self.arena_allocations
             pooled = len(self._arena_pool)
         queries = self.sweep_queries
+        tables = [
+            table for table, _ in list(self._scope_tables.values())
+            if table is not None
+        ]
         return {
             **kernels.describe(),
             "n_nodes": self.n_nodes,
@@ -856,6 +902,8 @@ class CompiledRSPN:
             "legacy_bytes_per_column": 8 * self.n_nodes,
             "arena_allocations": allocations,
             "arena_pooled": pooled,
+            "scope_tables": len(tables),
+            "scope_table_bytes": sum(table.nbytes for table in tables),
             "sweeps": self.sweep_count,
             "sweep_queries": queries,
             "sweep_ns_total": self.sweep_ns,
@@ -1473,6 +1521,7 @@ class MappedCompiledRSPN(CompiledRSPN):
             tape, meta["plan"], lazy, lazy.slot_items,
         )
 
+        self._scope_tables = {}
         self._pool_lock = threading.Lock()
         self._arena_pool = []
         self.arena_allocations = 0
@@ -1573,7 +1622,11 @@ def invalidate(root):
     so write-heavy phases don't retain dead flat arrays; the generation
     check in :func:`compiled_for` stays as the correctness backstop."""
     _GENERATIONS[root] = generation(root) + 1
-    _CACHE.pop(root, None)
+    form = _CACHE.pop(root, None)
+    if form is not None:
+        # An adopted mapped form outlives its cache entry (its
+        # MappedRSPN still holds it): release what it baked.
+        form.drop_scope_tables()
 
 
 def refresh_weights(root) -> int:

@@ -21,8 +21,7 @@ paper:
 from __future__ import annotations
 
 import math
-
-from scipy import stats
+from statistics import NormalDist
 
 
 def expectation_moments(expectation):
@@ -76,7 +75,7 @@ def ratio_moments(nominator, denominator):
 
 def interval(mean, variance, confidence=0.95):
     """Normal confidence interval around ``mean``."""
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * math.sqrt(max(variance, 0.0))
     return mean - half, mean + half
 

@@ -140,6 +140,28 @@ def product_transform(transforms):
     return Transform(fn, null_value, label)
 
 
+def _interval_bounds(values, lows, highs, low_inc, high_inc):
+    """``(left, right)`` positions in sorted ``values`` such that
+    ``values[left:right]`` are the ones inside each interval.
+
+    The index is clamped, not the mass: an empty interval (only
+    possible when hand-constructed) must select exactly zero values,
+    while masses themselves may be legitimately negative under
+    sign-changing transforms.
+    """
+    left = np.where(
+        low_inc,
+        np.searchsorted(values, lows, side="left"),
+        np.searchsorted(values, lows, side="right"),
+    )
+    right = np.where(
+        high_inc,
+        np.searchsorted(values, highs, side="right"),
+        np.searchsorted(values, highs, side="left"),
+    )
+    return left, np.maximum(right, left)
+
+
 class DiscreteLeaf(LeafNode):
     """Exact value-frequency histogram with a NULL bucket."""
 
@@ -243,17 +265,9 @@ class DiscreteLeaf(LeafNode):
                     )(self.values, cum, lows, highs, low_inc, high_inc,
                       k_idx, out)
                 else:
-                    left_a = np.searchsorted(self.values, lows, side="left")
-                    left_b = np.searchsorted(self.values, lows, side="right")
-                    right_a = np.searchsorted(self.values, highs, side="left")
-                    right_b = np.searchsorted(self.values, highs, side="right")
-                    left = np.where(low_inc, left_a, left_b)
-                    # Clamp the index, not the mass: an empty interval
-                    # (only possible when hand-constructed) must select
-                    # exactly zero values, while masses themselves may be
-                    # legitimately negative under sign-changing
-                    # transforms.
-                    right = np.maximum(np.where(high_inc, right_b, right_a), left)
+                    left, right = _interval_bounds(
+                        self.values, lows, highs, low_inc, high_inc
+                    )
                     np.add.at(out, k_idx, cum[right] - cum[left])
             if null_ks.size:
                 out[null_ks] += null_mass
@@ -279,6 +293,112 @@ class DiscreteLeaf(LeafNode):
         if total == 0:
             return 0.0
         return float((self.values * self.counts).sum() / total)
+
+
+class DiscreteScopeTable:
+    """Every :class:`DiscreteLeaf` of one scope fused into one table.
+
+    A sweep fills all leaf rows of a touched scope with the *same*
+    distinct ``(range, transform)`` pairs, so calling
+    :meth:`DiscreteLeaf.evaluate_batch` once per leaf repeats the same
+    binary searches (and pays the same fixed NumPy call overheads) for
+    every row.  The table does the scope in one pass: ``domain`` is the
+    sorted union of the leaves' values, ``counts`` a dense
+    ``(leaves x domain)`` matrix (0 where a leaf lacks the value) and
+    ``cum`` its row-wise prefix sums, so one set of searches on the
+    domain and one ``cum[:, right] - cum[:, left]`` gather give every
+    leaf's interval masses at once.
+
+    :meth:`evaluate` is **bit-identical** (``==``) to the per-leaf
+    kernel, which stays the oracle: a zero inserted into a running sum
+    leaves it unchanged, so ``cum[l, j]`` equals leaf ``l``'s own prefix
+    sum over the values below ``domain[j]``, and binary search on the
+    union domain counts exactly the leaf's values on each side of a
+    bound.  Relies on what ``fit``/``update`` maintain: a leaf's values
+    are strictly increasing.
+
+    The table bakes the histograms, so its owner (the compiled form)
+    must drop it whenever a leaf of the scope may have changed.
+    """
+
+    __slots__ = ("slots", "domain", "counts", "present", "cum",
+                 "null_counts", "divisors", "empty")
+
+    def __init__(self, entries):
+        """``entries`` are ``(arena slot, DiscreteLeaf)`` pairs."""
+        leaves = [leaf for _, leaf in entries]
+        self.slots = np.array([slot for slot, _ in entries], dtype=np.intp)
+        self.domain = np.unique(np.concatenate([leaf.values for leaf in leaves]))
+        shape = (len(leaves), self.domain.shape[0])
+        self.counts = np.zeros(shape, dtype=float)
+        self.present = np.zeros(shape, dtype=bool)
+        for row, leaf in enumerate(leaves):
+            columns = np.searchsorted(self.domain, leaf.values)
+            self.counts[row, columns] = leaf.counts
+            self.present[row, columns] = True
+        self.cum = self._prefix(self.counts)
+        self.null_counts = np.array([leaf.null_count for leaf in leaves])
+        # Each leaf's own ``total`` (its pairwise sum over its own
+        # counts), not ``cum[:, -1]``: the divisor must carry the
+        # oracle's exact bits.
+        totals = np.array([leaf.total for leaf in leaves])
+        self.empty = np.flatnonzero(totals == 0.0)
+        self.divisors = np.where(totals == 0.0, 1.0, totals)[:, None]
+
+    @staticmethod
+    def _prefix(weights):
+        cum = np.zeros((weights.shape[0], weights.shape[1] + 1), dtype=float)
+        np.cumsum(weights, axis=1, out=cum[:, 1:])
+        return cum
+
+    @property
+    def nbytes(self):
+        return sum(
+            getattr(self, name).nbytes for name in self.__slots__
+        )
+
+    def evaluate(self, prepared):
+        """``(leaves, len(prepared.ranges))`` leaf values for one
+        :class:`PreparedBatch`; row ``l`` ``==`` what leaf ``l``'s
+        ``evaluate_batch`` returns for the same batch."""
+        n_leaves, n = self.slots.shape[0], len(prepared.ranges)
+        out = np.zeros((n_leaves, n), dtype=float)
+        domain = self.domain
+        for g, (_, transform) in enumerate(prepared.groups):
+            if transform is None:
+                cum = self.cum
+                null_mass = self.null_counts
+            else:
+                factors = transform.fn(domain)
+                weights = factors * self.counts
+                if not np.isfinite(factors).all():
+                    # inf * (the 0 count of a value the leaf lacks) is
+                    # NaN and would poison the running sum; for the
+                    # leaf itself that value does not exist.
+                    weights[~self.present] = 0.0
+                cum = self._prefix(weights)
+                null_mass = self.null_counts * transform.null_value
+            lows, highs, low_inc, high_inc, k_idx, null_ks = (
+                prepared.group_intervals(g)
+            )
+            if k_idx.size:
+                left, right = _interval_bounds(
+                    domain, lows, highs, low_inc, high_inc
+                )
+                # One sequential scatter-add over the flattened matrix
+                # (leaf-major, intervals in order within a leaf): the
+                # per-leaf ``np.add.at(out, k_idx, ...)`` for all rows.
+                flat = (np.arange(n_leaves)[:, None] * n + k_idx).ravel()
+                np.add.at(
+                    out.reshape(-1), flat,
+                    (cum[:, right] - cum[:, left]).ravel(),
+                )
+            if null_ks.size:
+                out[:, null_ks] += null_mass[:, None]
+        out /= self.divisors
+        if self.empty.size:
+            out[self.empty] = 0.0
+        return out
 
 
 class BinnedLeaf(LeafNode):

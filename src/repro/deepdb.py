@@ -565,8 +565,10 @@ class DeepDB:
         Sums sweep counters and peak arena sizes over every RSPN whose
         compiled form is currently cached (models never swept report
         nothing).  Surfaced through serving ``/stats`` so operators can
-        see the active kernel, per-sweep latency and the arena-vs-legacy
-        memory footprint without instrumenting anything.
+        see the active kernel, per-sweep latency, the arena-vs-legacy
+        memory footprint and what the fused leaf fill holds resident
+        (``scope_tables`` / ``scope_table_bytes``) without
+        instrumenting anything.
         """
         from repro.core import kernels
 
@@ -578,6 +580,8 @@ class DeepDB:
             "arena_allocations": 0,
             "arena_bytes_per_column": 0,
             "legacy_bytes_per_column": 0,
+            "scope_tables": 0,
+            "scope_table_bytes": 0,
         }
         for rspn in self.ensemble.rspns:
             form = rspn.compiled_peek()
@@ -593,6 +597,8 @@ class DeepDB:
             totals["legacy_bytes_per_column"] += (
                 stats["legacy_bytes_per_column"]
             )
+            totals["scope_tables"] += stats["scope_tables"]
+            totals["scope_table_bytes"] += stats["scope_table_bytes"]
         queries = totals["sweep_queries"]
         totals["sweep_ns_per_query"] = (
             totals["sweep_ns_total"] / queries if queries else None

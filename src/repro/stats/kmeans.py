@@ -82,7 +82,12 @@ class KMeans:
                         moved = True
                     else:
                         candidate = members.mean(axis=0)
-                        if not np.allclose(candidate, centers[c]):
+                        # np.allclose's test at its default tolerances,
+                        # without its per-call wrapper overhead.
+                        if not (
+                            np.abs(candidate - centers[c])
+                            <= 1e-8 + 1e-5 * np.abs(centers[c])
+                        ).all():
                             moved = True
                         new_centers[c] = candidate
                 centers = new_centers
@@ -100,10 +105,17 @@ class KMeans:
 
     @staticmethod
     def _distances(points, centers):
-        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        diff = points[:, None, :] - centers[None, :, :]
+        np.square(diff, out=diff)
+        return diff.sum(axis=2)
 
     def _assign(self, points, centers):
-        return np.argmin(self._distances(points, centers), axis=1)
+        distances = self._distances(points, centers)
+        if centers.shape[0] == 2:
+            # argmin of two columns: the second wins only when strictly
+            # nearer (ties go to the first, as argmin breaks them).
+            return (distances[:, 1] < distances[:, 0]).astype(np.intp)
+        return np.argmin(distances, axis=1)
 
     def fit_predict(self, data):
         self.fit(data)

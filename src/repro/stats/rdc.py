@@ -69,18 +69,20 @@ def _one_hot(column, max_categories=40):
     """
     column = np.asarray(column, dtype=float)
     nan_mask = np.isnan(column)
-    values, counts = np.unique(column[~nan_mask], return_counts=True)
-    keep = values[np.argsort(counts)[::-1][:max_categories]]
-    index = {v: i for i, v in enumerate(keep)}
-    overflow = len(keep) + 1 if values.shape[0] > keep.shape[0] else None
-    width = len(keep) + 1 + (1 if overflow is not None else 0)
+    values, inverse, counts = np.unique(
+        column[~nan_mask], return_inverse=True, return_counts=True
+    )
+    keep = np.argsort(counts)[::-1][:max_categories]
+    n_keep = keep.shape[0]
+    overflow = values.shape[0] > n_keep
+    width = n_keep + 1 + (1 if overflow else 0)
+    # Feature column of every distinct value: its rank among the kept
+    # categories, or the shared 'other' column past the NaN column.
+    slot_of_value = np.full(values.shape[0], n_keep + 1, dtype=np.intp)
+    slot_of_value[keep] = np.arange(n_keep)
     features = np.zeros((column.shape[0], width))
-    for row, value in enumerate(column):
-        if nan_mask[row]:
-            features[row, len(keep)] = 1.0
-        else:
-            slot = index.get(value, overflow)
-            features[row, slot] = 1.0
+    features[nan_mask, n_keep] = 1.0
+    features[np.flatnonzero(~nan_mask), slot_of_value[inverse]] = 1.0
     # drop one column to remove the sum-to-one collinearity
     return features[:, : width - 1] if width > 1 else features
 
@@ -106,34 +108,46 @@ def rdc_transform(column, k=DEFAULT_K, s=DEFAULT_S, rng=None, discrete=False):
     return np.column_stack([np.sin(projections), np.cos(projections)])
 
 
-def _first_canonical_correlation(x, y, regularization=1e-4):
-    """Largest canonical correlation between feature blocks ``x`` and ``y``.
+def _whiten(x, regularization=1e-4):
+    """Centre a feature block and factor its regularised covariance.
 
-    Solved via the standard generalized eigenvalue formulation.  The
-    ridge term is scaled to the average feature variance, which keeps
-    near-collinear blocks (one-hot encodings, redundant sine features)
-    from inflating the correlation towards one.
+    Returns ``(centred, sq)`` with ``sq @ sq.T`` the inverse of the
+    block's ridge-regularised covariance (``None`` when it cannot be
+    factored).  The ridge term is scaled to the average feature
+    variance, which keeps near-collinear blocks (one-hot encodings,
+    redundant sine features) from inflating the correlation towards
+    one.  Everything here depends on one block alone, so
+    :func:`rdc_matrix` does it once per column rather than once per
+    pair.
     """
     x = x - x.mean(axis=0)
-    y = y - y.mean(axis=0)
-    n = x.shape[0]
-    cxx = (x.T @ x) / n
-    cyy = (y.T @ y) / n
-    ridge_x = regularization * max(float(np.trace(cxx)) / max(x.shape[1], 1), 1e-12)
-    ridge_y = regularization * max(float(np.trace(cyy)) / max(y.shape[1], 1), 1e-12)
-    cxx += ridge_x * np.eye(x.shape[1])
-    cyy += ridge_y * np.eye(y.shape[1])
-    cxy = (x.T @ y) / n
+    cxx = (x.T @ x) / x.shape[0]
+    ridge = regularization * max(float(np.trace(cxx)) / max(x.shape[1], 1), 1e-12)
+    cxx += ridge * np.eye(x.shape[1])
     try:
-        sqx = np.linalg.cholesky(np.linalg.inv(cxx))
-        sqy = np.linalg.cholesky(np.linalg.inv(cyy))
+        return x, np.linalg.cholesky(np.linalg.inv(cxx))
     except np.linalg.LinAlgError:
+        return x, None
+
+
+def _whitened_correlation(whitened_x, whitened_y):
+    """Largest canonical correlation of two :func:`_whiten` results, via
+    the standard generalized eigenvalue formulation."""
+    x, sqx = whitened_x
+    y, sqy = whitened_y
+    if sqx is None or sqy is None:
         return 0.0
+    cxy = (x.T @ y) / x.shape[0]
     m = sqx.T @ cxy @ sqy
     singular_values = np.linalg.svd(m, compute_uv=False)
     if singular_values.size == 0:
         return 0.0
     return float(np.clip(singular_values[0], 0.0, 1.0))
+
+
+def _first_canonical_correlation(x, y):
+    """Largest canonical correlation between feature blocks ``x`` and ``y``."""
+    return _whitened_correlation(_whiten(x), _whiten(y))
 
 
 def rdc(x, y, k=DEFAULT_K, s=DEFAULT_S, seed=0, n_samples=None,
@@ -177,7 +191,8 @@ def rdc_matrix(data, k=DEFAULT_K, s=DEFAULT_S, seed=0, n_samples=10_000,
     """Pairwise RDC matrix over the columns of a 2-D array.
 
     Returns a symmetric ``(d, d)`` matrix with ones on the diagonal.
-    Feature transforms are computed once per column and reused for all
+    Feature transforms -- and their centring and covariance
+    factorization -- are computed once per column and reused for all
     pairs, which is the optimisation the MSPN learning algorithm relies
     on to keep structure learning cheap.  ``discrete_flags[j]`` switches
     column ``j`` to the one-hot feature map.
@@ -196,7 +211,7 @@ def rdc_matrix(data, k=DEFAULT_K, s=DEFAULT_S, seed=0, n_samples=10_000,
         if _is_constant(column):
             transforms.append(None)
         else:
-            transforms.append(
+            transforms.append(_whiten(
                 rdc_transform(
                     column,
                     k=k,
@@ -204,13 +219,13 @@ def rdc_matrix(data, k=DEFAULT_K, s=DEFAULT_S, seed=0, n_samples=10_000,
                     rng=np.random.default_rng(seed + 1 + j),
                     discrete=bool(discrete_flags[j]),
                 )
-            )
+            ))
     matrix = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
             if transforms[i] is None or transforms[j] is None:
                 value = 0.0
             else:
-                value = _first_canonical_correlation(transforms[i], transforms[j])
+                value = _whitened_correlation(transforms[i], transforms[j])
             matrix[i, j] = matrix[j, i] = value
     return matrix

@@ -39,6 +39,18 @@ class TestMomentAlgebra:
         low99, high99 = ci.interval(0.0, 1.0, 0.99)
         assert high99 > high95
 
+    @pytest.mark.parametrize("confidence, z", [
+        (0.90, 1.6448536269514722),
+        (0.95, 1.959963984540054),
+        (0.99, 2.5758293035489004),
+    ])
+    def test_z_values_are_the_normal_quantiles(self, confidence, z):
+        """The interval is ``mean +- z * sd`` with the standard normal
+        quantile (computed by the stdlib, not scipy)."""
+        low, high = ci.interval(0.0, 1.0, confidence)
+        assert high == pytest.approx(z, rel=0, abs=1e-12)
+        assert low == pytest.approx(-z, rel=0, abs=1e-12)
+
     def test_zero_variance_collapses(self):
         low, high = ci.interval(7.0, 0.0)
         assert low == high == 7.0

@@ -198,6 +198,128 @@ class TestBatchBitIdentity:
         assert deepdb.generation > generation
 
 
+class TestScopeTablesFollowUpdates:
+    """Stale-table regression: the fused leaf fill bakes histograms
+    into per-scope tables, so every mutation path must drop them --
+    answers after an update ``==`` a twin that compiles from scratch."""
+
+    PROBES = [
+        "SELECT COUNT(*) FROM customer WHERE customer.age > 40",
+        "SELECT COUNT(*) FROM customer WHERE customer.region = 'EU' "
+        "AND customer.age BETWEEN 20 AND 75",
+        "SELECT COUNT(*) FROM customer c, orders o WHERE c.c_id = o.c_id "
+        "AND o.channel = 'ONLINE' AND c.age < 60",
+    ]
+    INSERTS = (
+        [("insert", "customer", {"region": "EU", "age": 71.0})] * 9
+        + [("insert", "customer", {"region": "ASIA", "age": 133.0})] * 3
+        + [("insert", "orders", {"channel": "ONLINE"})] * 5
+    )
+    DELETES = (
+        [("delete", "customer", {"region": "EU", "age": 71.0})] * 4
+        + [("delete", "orders", {"channel": "ONLINE"})] * 2
+    )
+
+    def _answers(self, deepdb):
+        return [float(v) for v in deepdb.cardinality_batch(self.PROBES)]
+
+    def _assert_matches_fresh_twin(self, deepdb):
+        tables = deepdb.kernel_stats()["scope_tables"]
+        got = self._answers(deepdb)
+        # The clone shares no compiled form: it lowers the updated
+        # trees and builds its tables from their current histograms.
+        assert got == self._answers(_clone(deepdb))
+        return got, tables
+
+    def test_batch_commits_drop_the_tables(self, template_deepdb):
+        deepdb = _clone(template_deepdb)
+        warm = self._answers(deepdb)
+        assert deepdb.kernel_stats()["scope_tables"] > 0
+        deepdb.apply_update_batch(self.INSERTS)
+        # refresh_weights kept the forms and emptied their tables.
+        assert deepdb.kernel_stats()["scope_tables"] == 0
+        after_insert, _ = self._assert_matches_fresh_twin(deepdb)
+        assert after_insert != warm
+        deepdb.apply_update_batch(self.DELETES)
+        after_delete, _ = self._assert_matches_fresh_twin(deepdb)
+        assert after_delete != after_insert
+
+    def test_serial_updates_drop_the_tables(self, template_deepdb):
+        deepdb = _clone(template_deepdb)
+        warm = self._answers(deepdb)
+        deepdb.insert("customer", {"region": "EU", "age": 71.0})
+        after_insert, _ = self._assert_matches_fresh_twin(deepdb)
+        assert after_insert != warm
+        deepdb.delete("customer", {"region": "EU", "age": 71.0})
+        self._assert_matches_fresh_twin(deepdb)
+
+    def test_store_mapped_forms_drop_the_tables(self, template_deepdb, tmp_path):
+        path = tmp_path / "model.rspn"
+        template_deepdb.save(path)
+        mapped = DeepDB.load(path, template_deepdb.database)
+        live = _clone(template_deepdb)
+        try:
+            assert self._answers(mapped) == self._answers(live)
+            assert mapped.kernel_stats()["scope_tables"] > 0
+            for deepdb in (mapped, live):
+                deepdb.apply_update_batch(self.INSERTS)
+            assert self._answers(mapped) == self._answers(live)
+            for deepdb in (mapped, live):
+                deepdb.delete("customer", {"region": "EU", "age": 71.0})
+            assert self._answers(mapped) == self._answers(live)
+        finally:
+            mapped.close()
+
+    def test_drift_monitor_swap_serves_fresh_tables(self):
+        database = _people_database(seed=31)
+        deepdb = DeepDB(database, learn_ensemble(database, _drift_config()))
+        registry = ModelRegistry()
+        registry.register("people", deepdb)
+        session = registry.session("people")
+        probes = [
+            "SELECT COUNT(*) FROM people WHERE people.age > 60",
+            "SELECT COUNT(*) FROM people WHERE people.region = 'EU' "
+            "AND people.age > 60",
+        ]
+
+        def served():
+            results = session.run_batch(
+                [Request("cardinality", sql) for sql in probes]
+            )
+            return [float(value) for value in results]
+
+        warm = served()
+        assert deepdb.kernel_stats()["scope_tables"] > 0
+        rng = np.random.default_rng(32)
+        extra = 6_000
+        region = rng.choice(["EU", "ASIA"], extra)
+        age = np.where(
+            region == "EU", rng.normal(75, 3, extra), rng.normal(18, 2, extra)
+        ).round()
+        database.table("people").append_rows({
+            "p_id": np.arange(20_000, 20_000 + extra, dtype=float),
+            "region": list(region),
+            "age": age,
+        })
+        session.apply_batch([
+            ("insert", "people", {"region": r, "age": float(a)})
+            for r, a in zip(region[:500], age[:500])
+        ])
+        absorbed = served()
+        assert absorbed != warm
+        assert absorbed == [
+            float(v) for v in _clone(deepdb).cardinality_batch(probes)
+        ]
+        monitor = DriftMonitor(registry, config=_drift_config(),
+                               interval_s=3_600, seed=33)
+        assert monitor.run_once() >= 1
+        swapped = served()
+        assert swapped != absorbed  # the rebuilt model answers
+        assert swapped == [
+            float(v) for v in _clone(deepdb).cardinality_batch(probes)
+        ]
+
+
 # ----------------------------------------------------------------------
 # Update validation (the _apply_update regression)
 # ----------------------------------------------------------------------

@@ -42,13 +42,16 @@ from repro.core.ensemble import EnsembleConfig
 from repro.core.inference import EvaluationSpec, evaluate_batch
 from repro.core.leaves import (
     IDENTITY,
+    INVERSE_FACTOR,
     SQUARE,
     DiscreteLeaf,
+    DiscreteScopeTable,
     Transform,
     transform_dedup_key,
     well_known_label,
 )
-from repro.core.ranges import Range
+from repro.core.nodes import LeafNode
+from repro.core.ranges import Interval, Range
 from repro.core.sharding import ShardedEvaluator, shm_available
 from repro.deepdb import DeepDB
 from tests.conftest import build_customer_orders
@@ -162,6 +165,112 @@ class TestKernelDifferential:
                         assert got[key] == want[key]
                 else:
                     assert got == want
+
+
+def _learned_specs(rspn, rng, n):
+    """Random specs over a learned RSPN's own columns: interval bounds
+    and IN lists drawn from values its leaves hold (so bounds tie with
+    histogram values), NULL-including ranges, ``<>`` two-interval
+    ranges and transforms."""
+    domains: dict = {}
+    for node in compiled_mod.post_order(rspn.root):
+        if isinstance(node, LeafNode):
+            domains.setdefault(node.scope_index, []).append(node.domain_values())
+    domains = {
+        scope: np.unique(np.concatenate(parts))
+        for scope, parts in domains.items()
+    }
+    scopes = sorted(domains)
+    specs = []
+    for _ in range(n):
+        spec = EvaluationSpec()
+        touched = rng.choice(
+            scopes, size=min(len(scopes), int(rng.integers(1, 4))),
+            replace=False,
+        )
+        for scope in map(int, touched):
+            values = domains[scope]
+            roll = rng.random()
+            if roll < 0.4:
+                low, high = np.sort(rng.choice(values, 2))
+                spec.condition(scope, Range(
+                    (Interval(float(low), float(high),
+                              bool(rng.integers(2)), bool(rng.integers(2))),),
+                    include_null=bool(rng.integers(2)),
+                ))
+            elif roll < 0.7:
+                picked = rng.choice(values, size=int(rng.integers(1, 6)))
+                spec.condition(scope, Range.points(map(float, picked)))
+            elif roll < 0.85:
+                spec.condition(
+                    scope, Range.from_operator("<>", float(rng.choice(values)))
+                )
+            if roll >= 0.85 or rng.random() < 0.25:
+                spec.transform(
+                    scope, (IDENTITY, SQUARE, INVERSE_FACTOR)[int(rng.integers(3))]
+                )
+        specs.append(spec)
+    return specs
+
+
+class TestFusedFillOnLearnedModels:
+    """The scope-fused leaf fill ``==`` the legacy per-leaf sweep on
+    learned IMDb and flights ensembles, at the batch sizes serving
+    produces (a lone request, a 2-query flush) and a large one."""
+
+    @pytest.fixture(scope="class", params=["imdb", "flights"])
+    def learned(self, request, tiny_imdb, tiny_flights):
+        database = {"imdb": tiny_imdb, "flights": tiny_flights}[request.param]
+        return DeepDB.learn(database, EnsembleConfig(sample_size=3_000))
+
+    @pytest.mark.parametrize("n_specs", [1, 2, 300])
+    def test_fused_equals_legacy(self, learned, n_specs):
+        rng = np.random.default_rng(n_specs)
+        for rspn in learned.ensemble.rspns:
+            specs = _learned_specs(rspn, rng, n_specs)
+            with kernels.use("legacy"):
+                reference = rspn.evaluate_specs(specs)
+            with kernels.use("numpy"):
+                fused = rspn.evaluate_specs(specs)
+            assert (fused == reference).all()
+            assert compiled_for(rspn.root).kernel_stats()["scope_tables"] >= 1
+
+    def test_store_mapped_form_fuses_too(self, learned, tmp_path):
+        path = tmp_path / "model.rspn"
+        learned.save(path)
+        mapped = DeepDB.load(path, learned.database)
+        try:
+            rng = np.random.default_rng(17)
+            for live, rspn in zip(learned.ensemble.rspns, mapped.ensemble.rspns):
+                specs = _learned_specs(live, rng, 40)
+                with kernels.use("numpy"):
+                    fused = rspn.evaluate_specs(specs)
+                    assert not rspn.materialized  # served from the mapping
+                assert rspn.compiled_peek().kernel_stats()["scope_tables"] >= 1
+                with kernels.use("legacy"):
+                    reference = live.evaluate_specs(specs)
+                assert (fused == reference).all()
+        finally:
+            mapped.close()
+
+    def test_tables_are_built_by_the_first_query_only(self, learned, tmp_path):
+        """Nothing is built at learn, save or load: the first query that
+        conditions on a scope pays for that scope's table."""
+        fresh = DeepDB.learn(learned.database, EnsembleConfig(sample_size=3_000))
+        assert fresh.kernel_stats()["n_models"] == 0  # nothing compiled
+        path = tmp_path / "model.rspn"
+        fresh.save(path)
+        mapped = DeepDB.load(path, learned.database)
+        try:
+            assert mapped.kernel_stats()["n_models"] == 0
+            rspn = mapped.ensemble.rspns[0]
+            rng = np.random.default_rng(3)
+            rspn.evaluate_specs(_learned_specs(fresh.ensemble.rspns[0], rng, 1))
+            stats = mapped.kernel_stats()
+            assert 1 <= stats["scope_tables"] <= 3
+            assert stats["scope_table_bytes"] > 0
+        finally:
+            mapped.close()
 
 
 class TestPlanTransport:
@@ -285,13 +394,13 @@ class TestTransformDedupKey:
         evaluate the leaf once, not once per spec."""
         spn = self._leaf_spn()
         seen = []
-        original = DiscreteLeaf.evaluate_batch
+        original = DiscreteScopeTable.evaluate
 
-        def spy(self, ranges, transforms, prepared=None):
-            seen.append(len(ranges))
-            return original(self, ranges, transforms, prepared=prepared)
+        def spy(self, prepared):
+            seen.append(len(prepared.ranges))
+            return original(self, prepared)
 
-        monkeypatch.setattr(DiscreteLeaf, "evaluate_batch", spy)
+        monkeypatch.setattr(DiscreteScopeTable, "evaluate", spy)
         specs = []
         for _ in range(4):
             spec = EvaluationSpec()

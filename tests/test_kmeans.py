@@ -80,3 +80,73 @@ class TestKMeans:
         labels = KMeans(n_clusters=k, seed=seed).fit_predict(data)
         assert labels.min() >= 0
         assert labels.max() < k
+
+
+class _ReferenceKMeans(KMeans):
+    """The Lloyd loop as it was before its hot spots were tightened
+    (``np.allclose`` per centre, fresh distance temporaries, ``argmin``
+    labels) -- the oracle the current loop must equal bit for bit."""
+
+    def fit(self, data):
+        points = self._prepare(data, fit=True)
+        n = points.shape[0]
+        k = min(self.n_clusters, n)
+        rng = np.random.default_rng(self.seed)
+        best_inertia = np.inf
+        best_centers = None
+        for _ in range(max(1, self.n_init)):
+            centers = points[rng.choice(n, size=k, replace=False)].copy()
+            for _ in range(self.max_iter):
+                labels = self._assign(points, centers)
+                new_centers = centers.copy()
+                moved = False
+                for c in range(k):
+                    members = points[labels == c]
+                    if members.shape[0] == 0:
+                        distances = self._distances(points, centers).min(axis=1)
+                        new_centers[c] = points[int(np.argmax(distances))]
+                        moved = True
+                    else:
+                        candidate = members.mean(axis=0)
+                        if not np.allclose(candidate, centers[c]):
+                            moved = True
+                        new_centers[c] = candidate
+                centers = new_centers
+                if not moved:
+                    break
+            labels = self._assign(points, centers)
+            inertia = float(np.sum((points - centers[labels]) ** 2))
+            if inertia < best_inertia:
+                best_inertia = inertia
+                best_centers = centers
+        self.centers_ = best_centers
+        return self
+
+    @staticmethod
+    def _distances(points, centers):
+        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+    def _assign(self, points, centers):
+        return np.argmin(self._distances(points, centers), axis=1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_equals_the_reference_loop(seed):
+    """Centres and labels ``==`` the frozen loop: k=2 (the learner's
+    case, labelled without argmin), k=3, one column, ties, NULLs."""
+    rng = np.random.default_rng(seed)
+    k = (2, 2, 3)[seed % 3]
+    d = 1 if seed % 5 == 0 else int(rng.integers(2, 6))
+    n = int(rng.integers(5, 400))
+    if seed % 4 == 0:  # few distinct values: exact distance ties
+        data = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        data = rng.normal(size=(n, d)) + rng.integers(0, 2, size=(n, 1)) * 3.0
+    data[rng.random((n, d)) < 0.1] = np.nan
+    model = KMeans(n_clusters=k, seed=seed).fit(data)
+    reference = _ReferenceKMeans(n_clusters=k, seed=seed).fit(data)
+    assert np.array_equal(model.centers_, reference.centers_)
+    labels = model.predict(data)
+    assert labels.dtype == reference.predict(data).dtype
+    assert np.array_equal(labels, reference.predict(data))
+    assert model.nearest_center(data[0]) == reference.nearest_center(data[0])

@@ -154,3 +154,23 @@ def test_model_probability_close_to_empirical(seed):
     )
     model_p = rspn.probability({"t.c": Range.point(1.0)})
     assert model_p == pytest.approx(cluster.mean(), abs=0.03)
+
+
+def test_learned_store_payload_is_reproducible(tmp_path):
+    """``DeepDB.learn`` twice over the same data saves equal bytes below
+    the store header (the header carries wall-clock strings): the
+    guard behind every result-identical speed-up of the learner."""
+    from repro.core import modelstore
+    from repro.datasets import imdb
+    from repro.deepdb import DeepDB
+
+    payloads = []
+    for name in ("first.rspn", "second.rspn"):
+        path = tmp_path / name
+        DeepDB.learn(imdb.generate(scale=0.01, seed=0)).save(path)
+        with open(path, "rb") as handle:
+            _, blob_base = modelstore._read_header(handle, path)
+            handle.seek(blob_base)
+            payloads.append(handle.read())
+    assert len(payloads[0]) > 10_000
+    assert payloads[0] == payloads[1]

@@ -1,5 +1,7 @@
 """Tests for RSPN histogram leaves (NULL buckets, transforms, updates)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,16 @@ from hypothesis import strategies as st
 from repro.core.leaves import (
     BinnedLeaf,
     DiscreteLeaf,
+    DiscreteScopeTable,
     IDENTITY,
     INVERSE_FACTOR,
+    PreparedBatch,
     SQUARE,
     Transform,
     build_leaf,
     product_transform,
 )
-from repro.core.ranges import Range
+from repro.core.ranges import Interval, Range
 
 
 def make_discrete(values, nulls=0):
@@ -179,6 +183,92 @@ class TestTransforms:
         halve = Transform(lambda v: v / 2, 0.0, "x/2")
         leaf = make_discrete([4, 8])
         assert leaf.evaluate(None, halve) == pytest.approx(3.0)
+
+
+class TestDiscreteScopeTable:
+    """The fused per-scope table ``==`` the per-leaf kernel, bit for bit."""
+
+    SHIFT = Transform(lambda v: v - 3.0, -2.0, "x-3")  # changes sign
+    RECIPROCAL = Transform(lambda v: 1.0 / v, 0.0, "1/x")  # inf at 0
+
+    @staticmethod
+    def _random_leaves(rng, n_leaves):
+        """Leaves over overlapping slices of one small domain, so the
+        union domain is wider than every leaf's own and range bounds
+        tie with values some leaves have and others lack."""
+        leaves = []
+        for _ in range(n_leaves):
+            size = int(rng.integers(1, 9))
+            values = np.sort(rng.choice(np.arange(0.0, 12.0), size, replace=False))
+            # Fractional counts make every summation order visible in
+            # the last bits; integer ones include deleted-to-zero values.
+            counts = (
+                rng.uniform(0.0, 5.0, size) if rng.integers(2)
+                else rng.integers(0, 6, size).astype(float)
+            )
+            nulls = float(rng.integers(0, 4))
+            leaves.append(DiscreteLeaf(0, "t.x", values, counts, nulls))
+        # A leaf whose every count was deleted away: total == 0.
+        leaves.append(DiscreteLeaf(0, "t.x", [2.0, 5.0], [0.0, 0.0], 0.0))
+        return leaves
+
+    @staticmethod
+    def _random_range(rng):
+        bound = lambda: float(rng.integers(-1, 13)) + float(rng.choice([0.0, 0.5]))
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            return None  # unconstrained, NULL included
+        if kind == 1:  # IN list: many point intervals
+            return Range.points(bound() for _ in range(int(rng.integers(1, 6))))
+        if kind == 2:
+            return Range.null_only()
+        if kind == 3:  # hand-built empty and inverted intervals
+            low = bound()
+            return Range((
+                Interval(low, low, bool(rng.integers(2)), False),
+                Interval(low + 2.0, low, True, True),
+            ), include_null=bool(rng.integers(2)))
+        low, width = bound(), float(rng.integers(0, 7))
+        first = Interval(low, low + width,
+                         bool(rng.integers(2)), bool(rng.integers(2)))
+        if kind == 4:
+            return Range((first,), include_null=bool(rng.integers(2)))
+        second = Interval(low + width + 1.0, math.inf, bool(rng.integers(2)), True)
+        return Range((first, second), include_null=bool(rng.integers(2)))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_table_equals_per_leaf_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        leaves = self._random_leaves(rng, int(rng.integers(1, 7)))
+        pool = [None, None, IDENTITY, SQUARE, INVERSE_FACTOR, self.SHIFT,
+                self.RECIPROCAL, product_transform([IDENTITY, self.SHIFT])]
+        n = int(rng.choice([1, 2, 40]))
+        ranges = [self._random_range(rng) for _ in range(n)]
+        transforms = [pool[int(rng.integers(len(pool)))] for _ in range(n)]
+        table = DiscreteScopeTable(list(enumerate(leaves)))
+        with np.errstate(all="ignore"):  # 1/x at 0, inf - inf
+            fused = table.evaluate(PreparedBatch(ranges, transforms))
+            for row, leaf in enumerate(leaves):
+                oracle = leaf.evaluate_batch(ranges, transforms)
+                assert np.array_equal(fused[row], oracle, equal_nan=True), (
+                    f"leaf {row} diverged"
+                )
+
+    def test_absent_value_never_poisons_a_leaf(self):
+        """``1/x`` is inf at 0: a leaf *without* the value 0 must stay
+        finite even though the scope's union domain contains it."""
+        with_zero = DiscreteLeaf(0, "t.x", [0.0, 2.0], [1.0, 1.0], 0.0)
+        without = DiscreteLeaf(0, "t.x", [1.0, 4.0], [3.0, 1.0], 0.0)
+        table = DiscreteScopeTable([(0, with_zero), (1, without)])
+        with np.errstate(all="ignore"):
+            fused = table.evaluate(PreparedBatch([None], [self.RECIPROCAL]))
+        assert fused[0, 0] == np.inf
+        assert fused[1, 0] == (3.0 / 1.0 + 1.0 / 4.0) / 4.0
+
+    def test_table_reports_its_footprint(self):
+        table = DiscreteScopeTable([(3, make_discrete([1, 2, 2, 5], nulls=1))])
+        assert table.slots.tolist() == [3]
+        assert table.nbytes >= table.counts.nbytes + table.cum.nbytes
 
 
 @settings(max_examples=40, deadline=None)

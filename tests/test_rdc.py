@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.stats.rdc import rdc, rdc_matrix, rdc_transform
+from repro.stats.rdc import (
+    _first_canonical_correlation,
+    _is_constant,
+    _one_hot,
+    _whiten,
+    _whitened_correlation,
+    rdc,
+    rdc_matrix,
+    rdc_transform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +113,118 @@ class TestRdcTransform:
         column[:50] = np.nan
         out = rdc_transform(column)
         assert np.isfinite(out).all()
+
+
+# ----------------------------------------------------------------------
+# Frozen references: the learner's hot loops were restructured (one
+# factorization per column, a vectorised one-hot) under the promise
+# that learned models stay byte-identical.  These are the loops as they
+# were, kept here as the oracle.
+# ----------------------------------------------------------------------
+def _reference_one_hot(column, max_categories=40):
+    column = np.asarray(column, dtype=float)
+    nan_mask = np.isnan(column)
+    values, counts = np.unique(column[~nan_mask], return_counts=True)
+    keep = values[np.argsort(counts)[::-1][:max_categories]]
+    index = {v: i for i, v in enumerate(keep)}
+    overflow = len(keep) + 1 if values.shape[0] > keep.shape[0] else None
+    width = len(keep) + 1 + (1 if overflow is not None else 0)
+    features = np.zeros((column.shape[0], width))
+    for row, value in enumerate(column):
+        if nan_mask[row]:
+            features[row, len(keep)] = 1.0
+        else:
+            features[row, index.get(value, overflow)] = 1.0
+    return features[:, : width - 1] if width > 1 else features
+
+
+def _reference_canonical_correlation(x, y, regularization=1e-4):
+    x = x - x.mean(axis=0)
+    y = y - y.mean(axis=0)
+    n = x.shape[0]
+    cxx = (x.T @ x) / n
+    cyy = (y.T @ y) / n
+    ridge_x = regularization * max(float(np.trace(cxx)) / max(x.shape[1], 1), 1e-12)
+    ridge_y = regularization * max(float(np.trace(cyy)) / max(y.shape[1], 1), 1e-12)
+    cxx += ridge_x * np.eye(x.shape[1])
+    cyy += ridge_y * np.eye(y.shape[1])
+    cxy = (x.T @ y) / n
+    try:
+        sqx = np.linalg.cholesky(np.linalg.inv(cxx))
+        sqy = np.linalg.cholesky(np.linalg.inv(cyy))
+    except np.linalg.LinAlgError:
+        return 0.0
+    m = sqx.T @ cxy @ sqy
+    singular_values = np.linalg.svd(m, compute_uv=False)
+    if singular_values.size == 0:
+        return 0.0
+    return float(np.clip(singular_values[0], 0.0, 1.0))
+
+
+def _mixed_columns(seed, n=1_500):
+    """Continuous, dependent, categorical (few and > 40 categories),
+    constant, NULL-heavy and all-NULL columns, with their flags."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=n)
+    category = rng.integers(0, 5, n).astype(float)
+    many = rng.integers(0, 60, n).astype(float)
+    with_nulls = base * 2.0 + rng.normal(size=n)
+    with_nulls[rng.random(n) < 0.3] = np.nan
+    category_nulls = category.copy()
+    category_nulls[rng.random(n) < 0.2] = np.nan
+    data = np.column_stack([
+        base, base ** 2, category, many, np.full(n, 7.0), with_nulls,
+        category_nulls, np.full(n, np.nan), rng.normal(size=n) + category,
+    ])
+    flags = [False, False, True, True, False, False, True, False, False]
+    return data, flags
+
+
+class TestLearnerLoopsAreResultIdentical:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_hot_equals_the_row_loop(self, seed):
+        data, flags = _mixed_columns(seed)
+        for j, discrete in enumerate(flags):
+            if discrete:
+                assert np.array_equal(
+                    _one_hot(data[:, j]), _reference_one_hot(data[:, j])
+                )
+        few = np.array([3.0, np.nan, 3.0, 1.0])
+        assert np.array_equal(_one_hot(few), _reference_one_hot(few))
+        nulls = np.full(5, np.nan)
+        assert np.array_equal(_one_hot(nulls), _reference_one_hot(nulls))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_equals_pairwise_reference(self, seed):
+        data, flags = _mixed_columns(seed)
+        d = data.shape[1]
+        transforms = [
+            None if _is_constant(data[:, j]) else rdc_transform(
+                data[:, j], rng=np.random.default_rng(seed + 1 + j),
+                discrete=flags[j],
+            )
+            for j in range(d)
+        ]
+        expected = np.eye(d)
+        for i in range(d):
+            for j in range(i + 1, d):
+                if transforms[i] is not None and transforms[j] is not None:
+                    value = _reference_canonical_correlation(
+                        transforms[i], transforms[j]
+                    )
+                    assert _first_canonical_correlation(
+                        transforms[i], transforms[j]
+                    ) == value
+                else:
+                    value = 0.0
+                expected[i, j] = expected[j, i] = value
+        matrix = rdc_matrix(data, seed=seed, discrete_flags=flags)
+        assert np.array_equal(matrix, expected)
+        assert (expected[4] == np.eye(d)[4]).all()  # the constant column
+
+    def test_unfactorable_block_scores_zero_with_every_partner(self):
+        block = np.random.default_rng(0).normal(size=(50, 3))
+        good = _whiten(block)
+        assert good[1] is not None
+        assert _whitened_correlation((good[0], None), good) == 0.0
+        assert _whitened_correlation(good, (good[0], None)) == 0.0

@@ -8,8 +8,12 @@ equivalence tests above them observe an untouched model.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import io
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -26,6 +30,7 @@ from repro.serving import (
     normalize_sql,
     start_server,
 )
+from repro.serving.server import _Handler
 from tests.conftest import build_customer_orders
 
 CARDINALITY_SQLS = [
@@ -313,6 +318,92 @@ class TestServingUnderUpdates:
         second = compiled.compiled_for(rspn.root)
         assert second is not first  # stale entry replaced lazily
         assert second.generation == rspn.generation
+
+
+class _RecordingFile:
+    """A ``wfile`` that keeps every write it receives apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+def _detached_handler(path="/", body=b""):
+    """A ``_Handler`` wired to in-memory files instead of a socket."""
+    handler = object.__new__(_Handler)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = f"POST {path} HTTP/1.1"
+    handler.command, handler.path = "POST", path
+    handler.client_address = ("127.0.0.1", 0)
+    handler.headers = {"Content-Length": str(len(body))}
+    handler.rfile = io.BytesIO(body + b"NEXT")
+    handler.wfile = _RecordingFile()
+    return handler
+
+
+class TestOneWriteResponses:
+    """A response leaves in one write: two writes on a keep-alive
+    socket make the body wait ~40 ms for the client's delayed ACK."""
+
+    def _assert_single_write(self, handler, status, payload):
+        assert len(handler.wfile.writes) == 1
+        head, _, body = handler.wfile.writes[0].partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(b"HTTP/1.1 %d " % status)
+        headers = dict(line.split(b": ", 1) for line in lines[1:])
+        assert headers[b"Content-Type"] == b"application/json"
+        assert int(headers[b"Content-Length"]) == len(body)
+        assert json.loads(body) == payload
+
+    def test_send_is_one_write(self):
+        handler = _detached_handler()
+        payload = {"value": 12.5, "kind": "cardinality"}
+        handler._send(200, payload)
+        self._assert_single_write(handler, 200, payload)
+
+    def test_simple_request_gets_the_bare_body(self):
+        """HTTP/0.9 has no status line or headers to buffer."""
+        handler = _detached_handler()
+        handler.request_version = "HTTP/0.9"
+        handler._send(200, {"models": []})
+        assert handler.wfile.writes == [b'{"models": []}']
+
+    def test_unknown_post_drains_its_body_and_answers_in_one_write(self):
+        handler = _detached_handler("/nope", b'{"sql": "SELECT 1"}')
+        handler.do_POST()
+        self._assert_single_write(
+            handler, 404, {"error": "unknown endpoint '/nope'"}
+        )
+        assert handler.rfile.read() == b"NEXT"  # next request not eaten
+
+    def test_keep_alive_requests_do_not_wait_out_a_delayed_ack(
+        self, served_deepdb
+    ):
+        registry = ModelRegistry()
+        registry.register("orders_db", served_deepdb)
+        with start_server(registry) as server:
+            connection = http.client.HTTPConnection(*server.address, timeout=30)
+            try:
+                latencies = []
+                for _ in range(50):
+                    start = time.perf_counter()
+                    connection.request("GET", "/models")
+                    response = connection.getresponse()
+                    body = response.read()
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+                    assert json.loads(body) == {"models": ["orders_db"]}
+            finally:
+                connection.close()
+        # The stall is ~44 ms per request; without it a /models round
+        # trip is well under a millisecond of work.
+        assert statistics.median(latencies) < 0.020
 
 
 class TestHttpFrontEnd:
