@@ -1,6 +1,6 @@
 """Streaming ingest: sustained update throughput under concurrent reads.
 
-The ISSUE-10 acceptance benchmark, three legs:
+Two legs:
 
 1. **Sustained ingest + snapshot isolation** -- a bounded queue and
    batch applier stream thousands of inserts into a served model while
@@ -12,10 +12,6 @@ The ISSUE-10 acceptance benchmark, three legs:
 2. **q-error drift over the stream** -- the model's COUNT estimate is
    checked against analytic ground truth at every serially-reachable
    state; the worst q-error across the stream is recorded and bounded.
-3. **Delta transport bytes** -- each flush ships shard workers a
-   touched-leaf patch; the bytes per flush must be *strictly below* a
-   whole-tree republish, and the patched worker answers bit-identically
-   to the parent.
 
 Results land in ``benchmarks/BENCH_ingest.json``.
 
@@ -25,14 +21,11 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_ingest.py -q``.
 from __future__ import annotations
 
 import copy
-import gc
 import threading
 import time
 
 import numpy as np
-import pytest
 
-from repro.core import compiled, sharding
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
 from repro.deepdb import DeepDB
 from repro.engine.join import compute_tuple_factors
@@ -184,136 +177,3 @@ def test_sustained_ingest_with_concurrent_readers(record_ingest_timing):
         torn_snapshots=len(torn),
         worst_q_error=worst_q,
     )
-
-
-def _wide_people_database(n=12_000, seed=0):
-    """A wider, clearly clustered table, so the learned tree has several
-    sum branches and a flush of cluster-consistent inserts touches only
-    its own branch's leaves -- the regime where delta patching pays."""
-    schema = SchemaGraph()
-    schema.add_table(
-        TableSchema(
-            "people",
-            [
-                Attribute("p_id", "key"),
-                Attribute("region", "categorical"),
-                Attribute("age", "numeric"),
-                Attribute("income", "numeric"),
-                Attribute("tenure", "numeric"),
-                Attribute("score", "numeric"),
-            ],
-            primary_key="p_id",
-        )
-    )
-    database = Database(schema)
-    rng = np.random.default_rng(seed)
-    cluster = rng.integers(0, 3, n)
-    age = np.array([25.0, 45.0, 70.0])[cluster] + rng.normal(0, 3, n)
-    income = np.array([20.0, 60.0, 120.0])[cluster] + rng.normal(0, 5, n)
-    tenure = np.array([1.0, 10.0, 30.0])[cluster] + rng.normal(0, 1, n)
-    database.add_table(
-        Table.from_columns(
-            schema.table("people"),
-            {
-                "p_id": np.arange(n, dtype=float),
-                "region": list(rng.choice(["EU", "ASIA"], n)),
-                "age": age.round(),
-                "income": income.round(),
-                "tenure": tenure.round(),
-                "score": rng.normal(50, 10, n).round(),
-            },
-        )
-    )
-    compute_tuple_factors(database)
-    return database
-
-
-def _age_spec(rspn):
-    from repro.core.inference import EvaluationSpec
-    from repro.core.ranges import Interval, Range
-
-    spec = EvaluationSpec()
-    scope = rspn.column_names.index("people.age")
-    spec.condition(scope, Range((Interval(60.0, np.inf, False, True),)))
-    return spec
-
-
-@pytest.mark.skipif(
-    not sharding.shm_available(), reason="named shared memory unavailable"
-)
-def test_delta_patch_bytes_vs_full_republish(record_ingest_timing):
-    database = _wide_people_database(seed=2)
-    ensemble = learn_ensemble(
-        database, EnsembleConfig(sample_size=20_000)
-    )
-    deepdb = DeepDB(database, ensemble)
-    rspn = deepdb.ensemble.rspns[0]
-    transport = sharding.SharedMemorySpecTransport()
-    try:
-        key = sharding.model_key(rspn.root)
-        payload, _ = transport.tree_payload(
-            rspn.root, key, rspn.generation, False
-        )
-        assert payload[0] == "shm-tree"
-        worker = sharding._worker_model(key, rspn.generation, payload)
-        base_bytes = transport.stats()["tree_bytes"]
-
-        flushes = 10
-        rng = np.random.default_rng(3)
-        per_flush = []
-        for _ in range(flushes):
-            # rspn.apply_batch takes *encoded* model rows; NULL region
-            # keeps this transport-focused leg free of vocab lookups.
-            # Cluster-0-shaped tuples (rounded like the base data, so
-            # they land in existing leaf vocabularies): the whole flush
-            # routes down one sum branch, touching a fraction of the
-            # tree's leaves.
-            ops = [
-                ({"people.region": None,
-                  "people.age": float(np.round(rng.normal(25, 3))),
-                  "people.income": float(np.round(rng.normal(20, 5))),
-                  "people.tenure": float(np.round(rng.normal(1, 1))),
-                  "people.score": float(np.round(rng.normal(50, 10)))}, +1)
-                for _ in range(64)
-            ]
-            before_generation = rspn.generation
-            before_bytes = transport.stats()["tree_delta_bytes"]
-            delta = rspn.apply_batch(ops)
-            transport.record_tree_delta(
-                key, before_generation, delta.generation,
-                delta.sum_rows, delta.leaf_rows,
-            )
-            payload, _ = transport.tree_payload(
-                rspn.root, key, delta.generation, False
-            )
-            # Every flush ships a patch, never the whole tree...
-            assert payload[0] == "shm-tree-delta"
-            shipped = transport.stats()["tree_delta_bytes"] - before_bytes
-            # ...strictly below what a whole-tree republish would cost.
-            assert 0 < shipped < base_bytes
-            per_flush.append(shipped)
-            # And a worker applying the patch answers bit-identically.
-            worker = sharding._worker_model(key, delta.generation, payload)
-            spec = _age_spec(rspn)
-            parent = compiled.compiled_for(rspn.root).evaluate_batch([spec])
-            assert (worker.evaluate_batch([spec]) == parent).all()
-
-        total_delta = int(sum(per_flush))
-        total_full = base_bytes * flushes
-        print(f"\nwhole-tree republish: {base_bytes:,} bytes/flush; "
-              f"delta patch: mean {total_delta / flushes:,.0f} bytes/flush "
-              f"({total_full / max(total_delta, 1):.1f}x less shipped over "
-              f"{flushes} flushes)")
-        record_ingest_timing(
-            "delta_transport", 0.0,
-            flushes=flushes,
-            full_republish_bytes_per_flush=base_bytes,
-            delta_bytes_per_flush=total_delta / flushes,
-            bytes_saved_ratio=total_full / max(total_delta, 1),
-        )
-        del worker, parent
-    finally:
-        gc.collect()
-        sharding._clear_worker_models()
-        transport.close()
-    assert transport.stats()["segments_active"] == 0

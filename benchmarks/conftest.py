@@ -66,8 +66,6 @@ def timed(fn, *args, **kwargs):
 _TIMING_PATH = os.path.join(os.path.dirname(__file__), "BENCH_inference.json")
 _OPTIMIZER_PATH = os.path.join(os.path.dirname(__file__), "BENCH_optimizer.json")
 _SERVING_PATH = os.path.join(os.path.dirname(__file__), "BENCH_serving.json")
-_SHARDING_PATH = os.path.join(os.path.dirname(__file__), "BENCH_sharding.json")
-_KERNELS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_kernels.json")
 _MODELSTORE_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_modelstore.json"
 )
@@ -94,15 +92,11 @@ record_timing = _recorder(_TIMING_PATH)
 record_optimizer_timing = _recorder(_OPTIMIZER_PATH)
 # BENCH_serving.json: serving front-end closed-loop throughput.
 record_serving_timing = _recorder(_SERVING_PATH)
-# BENCH_sharding.json: values-matrix sharding across worker processes.
-record_sharding_timing = _recorder(_SHARDING_PATH)
-# BENCH_kernels.json: fused/legacy/numba sweep-kernel trajectory.
-record_kernels_timing = _recorder(_KERNELS_PATH)
 # BENCH_modelstore.json: mmapped cold start vs JSON, pager counters.
 record_modelstore_timing = _recorder(_MODELSTORE_PATH)
 # BENCH_feedback.json: residual-corrector accuracy and overhead.
 record_feedback_timing = _recorder(_FEEDBACK_PATH)
-# BENCH_ingest.json: streaming-ingest throughput and delta transport.
+# BENCH_ingest.json: streaming-ingest throughput.
 record_ingest_timing = _recorder(_INGEST_PATH)
 
 
@@ -140,20 +134,6 @@ def record_serving_timing_fixture():
     """Fixture handing benches the :func:`record_serving_timing`
     recorder (BENCH_serving.json)."""
     return record_serving_timing
-
-
-@pytest.fixture(scope="session", name="record_sharding_timing")
-def record_sharding_timing_fixture():
-    """Fixture handing benches the :func:`record_sharding_timing`
-    recorder (BENCH_sharding.json)."""
-    return record_sharding_timing
-
-
-@pytest.fixture(scope="session", name="record_kernels_timing")
-def record_kernels_timing_fixture():
-    """Fixture handing benches the :func:`record_kernels_timing`
-    recorder (BENCH_kernels.json)."""
-    return record_kernels_timing
 
 
 @pytest.fixture(scope="session", name="record_modelstore_timing")

@@ -12,11 +12,6 @@ It then smokes the consumer layers of the batched estimator protocol:
 - **serving**: 8 concurrent closed-loop clients through the in-process
   ``AsyncDeepDB`` facade must be coalesced into multi-request flushes
   whose answers match the scalar loop to 1e-9,
-- **sharding**: the same coalesced serving path with a 2-worker
-  ``ShardedEvaluator`` attached (the default spec transport: zero-copy
-  shared memory where available) -- flushes must fan their compiled
-  sweeps out across >= 2 worker processes with answers bit-identical
-  to serial and zero fallbacks,
 - **restart**: the ensemble saved to a model store file and cold-started
   in a **fresh process** (run with ``-W error::ResourceWarning``) must
   serve its first answer from the mmapped store within a second,
@@ -125,8 +120,6 @@ def main():
         return 1
     if _smoke_serving(database, ensemble):
         return 1
-    if _smoke_sharding(database, ensemble):
-        return 1
     if _smoke_restart(database, ensemble):
         return 1
     if _smoke_ml_heads(database, ensemble):
@@ -143,40 +136,23 @@ def main():
 
 
 def _smoke_kernels(database, ensemble, queries, compiler, reference):
-    """Kernel smoke: every sweep kernel answers bit-identically.
+    """Kernel smoke: the fused sweep ``==`` its legacy oracle.
 
-    Replays the 40-query workload under ``legacy``, ``numpy`` and
-    ``numba`` (jitted when numba is installed, its pure-Python twins
-    otherwise -- the silent-fallback leg of CI runs this without numba
-    and must still pass) and requires the answers to be **bit-identical**
-    (``==``) to the default-kernel batch, not merely close.
+    Replays the 40-query workload under the ``legacy`` reference sweep
+    and requires the answers to be **bit-identical** (``==``) to the
+    fused batch, not merely close.
     """
     from repro.core import kernels
 
     start = time.perf_counter()
-    info = kernels.describe()
-    for name in ("legacy", "numpy", "numba"):
-        with kernels.use(name):
-            answers = compiler.cardinality_batch(queries)
-        if answers != reference:
-            print(f"FAIL: kernel {name!r} answers are not bit-identical "
-                  f"to the default kernel")
-            return 1
-    with kernels.python_twins(), kernels.use("numba"):
-        if kernels.resolve() != "numba":
-            print("FAIL: python_twins did not activate the numba path")
-            return 1
-        twins = compiler.cardinality_batch(queries)
-    if twins != reference:
-        print("FAIL: numba twin answers are not bit-identical")
+    with kernels.use("legacy"):
+        answers = compiler.cardinality_batch(queries)
+    if answers != reference:
+        print("FAIL: legacy answers are not bit-identical to the fused "
+              "sweep")
         return 1
-    numba_note = (
-        "available" if info["numba_available"]
-        else "absent -> silent numpy fallback"
-    )
-    print(f"OK: legacy/numpy/numba kernels bit-identical on "
-          f"{len(queries)} queries (active {info['active']!r}, numba "
-          f"{numba_note}, {time.perf_counter() - start:.1f}s)")
+    print(f"OK: fused sweep bit-identical to the legacy oracle on "
+          f"{len(queries)} queries ({time.perf_counter() - start:.1f}s)")
     return 0
 
 
@@ -235,97 +211,6 @@ def _smoke_serving(database, ensemble, n_clients=8, rounds=3):
           f"{stats['flushes']} flushes (mean occupancy "
           f"{stats['mean_occupancy']:.1f}, max {stats['max_occupancy']}), "
           f"answers match the scalar loop "
-          f"({time.perf_counter() - start:.1f}s)")
-    return 0
-
-
-def _smoke_sharding(database, ensemble, n_clients=8, rounds=2):
-    """Sharded serving smoke: a coalesced flush fans out across worker
-    processes.
-
-    Attaches a 2-worker :class:`~repro.core.sharding.ShardedEvaluator`
-    (the production-default ``spawn`` start method) to the flights
-    ensemble and drives concurrent closed-loop clients through the
-    async facade, so each coalesced ``run_batch`` flush executes its
-    compiled sweeps on the pool.  Checks that sharded batches really
-    ran on >= 2 distinct worker processes, that nothing fell back, and
-    that every answer is **bit-identical** to the in-process serial
-    path.
-    """
-    import asyncio
-
-    from repro.core.sharding import ShardedEvaluator
-    from repro.deepdb import DeepDB
-    from repro.serving import AsyncDeepDB
-
-    start = time.perf_counter()
-    deepdb = DeepDB(database, ensemble)
-    rng = np.random.default_rng(31)
-    distances = database.table("flights").columns["distance"]
-    finite = distances[~np.isnan(distances)]
-    sqls = [
-        "SELECT COUNT(*) FROM flights WHERE flights.distance >= "
-        f"{low:.6f} AND flights.distance <= {low + width:.6f}"
-        for low, width in zip(
-            rng.uniform(finite.min(), finite.mean(), n_clients * rounds),
-            rng.uniform(50, 800, n_clients * rounds),
-        )
-    ]
-    serial = [deepdb.cardinality(sql) for sql in sqls]
-
-    evaluator = ShardedEvaluator(n_workers=2, min_shard_size=2)
-    ensemble.set_evaluator(evaluator)
-    deepdb.evaluator = evaluator
-    try:
-        async_db = AsyncDeepDB(
-            deepdb, max_batch_size=n_clients, max_wait_ms=2.0, cache_size=0
-        )
-        answers = [None] * len(sqls)
-
-        async def client(c):
-            for r in range(rounds):
-                index = c * rounds + r
-                answers[index] = await async_db.cardinality(sqls[index])
-
-        async def closed_loop():
-            await asyncio.gather(*(client(c) for c in range(n_clients)))
-
-        asyncio.run(closed_loop())
-        # Slice-to-worker placement is the pool's choice; if one eager
-        # worker drained every slice so far, a few more sharded batches
-        # make the second worker demonstrably participate.
-        for _ in range(3):
-            if evaluator.stats()["distinct_worker_pids"] >= 2:
-                break
-            deepdb.cardinality_batch(sqls)
-        stats = evaluator.stats()
-    finally:
-        deepdb.evaluator = None
-        ensemble.set_evaluator(None)
-        evaluator.close()
-
-    if answers != serial:
-        print("FAIL: sharded serving answers are not bit-identical to "
-              "the serial path")
-        return 1
-    if stats["sharded_batches"] < 1:
-        print(f"FAIL: no coalesced flush went through the worker pool "
-              f"({stats})")
-        return 1
-    if stats["distinct_worker_pids"] < 2:
-        print(f"FAIL: sharded sweeps did not span >= 2 worker processes "
-              f"({stats})")
-        return 1
-    if stats["serial_fallbacks"]:
-        print(f"FAIL: {stats['serial_fallbacks']} sharded batches fell "
-              "back to the in-process sweep")
-        return 1
-    print(f"OK: coalesced flushes fanned out across "
-          f"{stats['distinct_worker_pids']} worker processes over the "
-          f"{stats['transport']!r} transport "
-          f"({stats['sharded_batches']} sharded batches, 0 fallbacks, "
-          f"{stats['transport_stats']['spec_bytes']} spec bytes shipped), "
-          f"answers bit-identical to serial "
           f"({time.perf_counter() - start:.1f}s)")
     return 0
 

@@ -80,28 +80,6 @@ def _build_database(args):
     return generator.generate(scale=args.scale, seed=args.seed)
 
 
-def _add_shards_argument(parser):
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="fan batched compiled sweeps across N worker processes "
-             "(0 = in-process; answers are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--transport", choices=("auto", "shm", "pickle"), default="auto",
-        help="how sharded sweeps ship specs and the model to workers: "
-             "shm publishes zero-copy shared-memory segments (default "
-             "where available), pickle is the portability fallback",
-    )
-    parser.add_argument(
-        "--kernel", choices=("auto", "numpy", "numba", "legacy"),
-        default="auto",
-        help="compiled-sweep kernel: the fused numpy sweep (default), "
-             "the numba-lowered sweep (falls back to numpy when numba "
-             "is absent), or the legacy full-matrix sweep; all three "
-             "return bit-identical answers",
-    )
-
-
 def _add_corrector_argument(parser):
     parser.add_argument(
         "--corrector", choices=("off", "observe", "apply"), default="off",
@@ -135,12 +113,8 @@ def _plan_cache_enabled(args):
 def _load_model(args, database):
     from repro.deepdb import DeepDB
 
-    shards = getattr(args, "shards", 0)
-    transport = getattr(args, "transport", "auto")
     return DeepDB.load(
-        args.model, database, shards=shards or None,
-        transport=None if transport == "auto" else transport,
-        kernel=getattr(args, "kernel", None),
+        args.model, database,
         corrector=_corrector_mode(args),
         plan_cache=_plan_cache_enabled(args),
     )
@@ -418,9 +392,6 @@ def _cmd_serve(args, out):
     if is_store_file(args.model):
         catalog = registry.register_store(
             name, args.model, database, cache_size=args.cache_size,
-            shards=args.shards or None,
-            transport=None if args.transport == "auto" else args.transport,
-            kernel=args.kernel,
             corrector=_corrector_mode(args),
             plan_cache=_plan_cache_enabled(args),
         )
@@ -450,31 +421,10 @@ def _cmd_serve(args, out):
     print(f"coalescing: batches of up to {args.max_batch_size} every "
           f"{args.max_wait_ms:g} ms; admission cap {args.max_inflight} "
           "in-flight", file=out)
-    from repro.core import kernels
-
-    kernel = kernels.describe()
-    print(f"kernel: {kernel['active']!r} "
-          f"(requested {kernel['requested']!r}, "
-          f"numba {'available' if kernel['numba_available'] else 'absent'})",
-          file=out)
     if _corrector_mode(args) is not None:
         print(f"feedback: corrector {args.corrector!r} -- estimates are "
               "logged; watch GET /stats under models.<name>.feedback",
               file=out)
-    if deepdb is not None and deepdb.evaluator is not None:
-        from repro.core.autotune import SERIAL_ONLY
-
-        evaluator = deepdb.evaluator
-        if evaluator.min_shard_size >= SERIAL_ONLY:
-            print("sharding: auto-tuner selected serial "
-                  f"({evaluator.autotune.mode}, "
-                  f"{evaluator.autotune.usable_cpus} usable CPU(s)); "
-                  "every flush stays in-process", file=out)
-        else:
-            print(f"sharding: coalesced flushes of >= "
-                  f"{evaluator.min_shard_size} specs fan out across "
-                  f"{evaluator.n_workers} worker processes over the "
-                  f"{evaluator.transport!r} transport", file=out)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -810,7 +760,6 @@ def build_parser():
                           help="also run the exact executor")
     estimate.add_argument("--explain", action="store_true",
                           help="print the probabilistic query compilation")
-    _add_shards_argument(estimate)
     _add_corrector_argument(estimate)
     estimate.set_defaults(handler=_cmd_estimate)
 
@@ -823,7 +772,6 @@ def build_parser():
                        help="SQL query; repeat the flag to answer a whole "
                             "batch in one compiled sweep")
     query.add_argument("--confidence", type=float, default=0.95)
-    _add_shards_argument(query)
     _add_corrector_argument(query)
     query.set_defaults(handler=_cmd_query)
 
@@ -843,7 +791,6 @@ def build_parser():
                            "materialises more than this multiple of its "
                            "estimate (default 16; inf disables)")
     _add_plan_cache_argument(plan)
-    _add_shards_argument(plan)
     _add_corrector_argument(plan)
     plan.set_defaults(handler=_cmd_plan)
 
@@ -875,7 +822,6 @@ def build_parser():
                             "every N seconds in the background, shadow-"
                             "rebuilding drifted RSPNs (0 = off)")
     _add_plan_cache_argument(serve)
-    _add_shards_argument(serve)
     _add_corrector_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
@@ -902,7 +848,6 @@ def build_parser():
     ingest.add_argument("--queue-size", type=int, default=10_000,
                         help="bounded queue depth; full puts block "
                              "(backpressure, default 10000)")
-    _add_shards_argument(ingest)
     ingest.set_defaults(handler=_cmd_ingest)
 
     client = commands.add_parser(

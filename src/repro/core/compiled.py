@@ -30,10 +30,7 @@ Lowering (:class:`CompiledRSPN`):
     to peak-live rows (``plan.arena_rows``) and is leased from a pool
     instead of reallocated per chunk;
   * each op fuses the sum-weighting multiply with the accumulate into
-    pre-planned ``np.take`` / ``np.multiply`` / ``np.add`` calls, or --
-    under the ``numba`` kernel (:mod:`repro.core.kernels`) -- into one
-    jitted tape interpreter over the plan's flattened instruction
-    stream.
+    pre-planned ``np.take`` / ``np.multiply`` / ``np.add`` calls.
 
 - Leaves keep pointers to the live leaf objects.  Structure and
   sum-node weights are frozen at lowering, and the first sweep that
@@ -45,13 +42,10 @@ Lowering (:class:`CompiledRSPN`):
 
 Accumulation order is **pinned** (see :mod:`repro.core.kernels`): sum
 and product nodes accumulate children left to right with the weight
-multiply rounding before the add.  Every kernel -- the fused NumPy
-executor, the numba tape, and the retained ``legacy`` full-matrix
-reference sweep -- performs those same elementwise operations in the
-same order, which is what makes the three bit-identical (``==``), and
-what lets sharded workers (whose twins recompile the same plan from the
-same post-order; checked via :meth:`CompiledRSPN.plan_signature`)
-return bit-identical slices.
+multiply rounding before the add.  The fused executor and the
+``legacy`` full-matrix sweep (a test-only reference oracle) perform
+those same elementwise operations in the same order, which is what
+makes the two bit-identical (``==``).
 
 Batched evaluation (:meth:`CompiledRSPN.evaluate_batch`):
 
@@ -230,9 +224,9 @@ class _FusedPlan:
     """The compile-time sweep plan: ops over a liveness-sized arena.
 
     Derived deterministically from the tree's post-order alone, so a
-    sharded worker that recompiles an imported twin
-    (:func:`import_tree_arrays` preserves post-order) produces the
-    *same* plan -- asserted end-to-end via :meth:`signature`.
+    recompiled imported twin (:func:`import_tree_arrays` preserves
+    post-order) produces the *same* plan -- asserted via
+    :meth:`signature`.
     """
 
     __slots__ = (
@@ -406,7 +400,8 @@ class _FusedPlan:
         return True
 
     def tape(self):
-        """The plan flattened into the numba tape interpreter's arrays."""
+        """The plan flattened into the instruction arrays the model
+        store persists (:meth:`from_tape` restores them)."""
         if self._tape is None:
             op_is_sum, op_dst, op_pos_off = [], [], [0]
             pos_count, pos_child_off = [], [0]
@@ -439,8 +434,8 @@ class _FusedPlan:
         """A stable digest of the whole plan (ops, slots, weights bits).
 
         Equal signatures mean bit-identical sweeps for the same leaf
-        values; the sharded evaluator ships the parent's signature with
-        the tree so workers can verify their recompiled plan matches.
+        values; the model store records it per RSPN and checks it when
+        a blob is read back.
         """
         if self._signature is None:
             digest = hashlib.sha1()
@@ -482,10 +477,6 @@ class CompiledRSPN:
         # Root generation this form was lowered at; maintained by
         # :func:`compiled_for` for its staleness check.
         self.generation = 0
-        # Weak back-reference to the live tree: the sharded evaluator
-        # needs the root (to serialize it for worker processes) and must
-        # not keep it alive past its owner.
-        self.root_ref = weakref.ref(root)
 
         heights = [0] * self.n_nodes
         for i, node in enumerate(order):
@@ -534,26 +525,15 @@ class CompiledRSPN:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate_batch(self, specs, executor=None):
+    def evaluate_batch(self, specs):
         """Evaluate a batch of :class:`EvaluationSpec`-like objects.
 
         Returns an array of ``len(specs)`` values
         ``E[ prod_i h_i(X_i) * 1_{X_i in R_i} ]``, one per spec; specs
-        with an empty selection evaluate to exactly ``0.0``.
-
-        ``executor`` plugs in a batch executor such as
-        :class:`repro.core.sharding.ShardedEvaluator`: batches of at
-        least its ``min_shard_size`` are split into per-worker column
-        slices and evaluated by worker processes (per-query columns are
-        independent, so sharding is bit-identical to this serial
-        sweep).  ``None`` -- and any executor failure, which falls back
-        internally -- evaluates in-process.
-
-        The executing kernel is the process-wide knob of
-        :mod:`repro.core.kernels`; all kernels are bit-identical.
+        with an empty selection evaluate to exactly ``0.0``.  Inside
+        ``kernels.use("legacy")`` the reference sweep runs instead,
+        bit-identically.
         """
-        if executor is not None and executor.should_shard(len(specs)):
-            return executor.evaluate_batch(self, specs)
         results = np.zeros(len(specs), dtype=float)
         live = [
             (col, spec)
@@ -562,8 +542,7 @@ class CompiledRSPN:
         ]
         if not live:
             return results
-        kernel = kernels.resolve()
-        if kernel == "legacy":
+        if kernels.resolve() == "legacy":
             chunk = max(16, _CHUNK_BUDGET // max(self.n_nodes, 1))
             for start in range(0, len(live), chunk):
                 part = live[start:start + chunk]
@@ -578,7 +557,7 @@ class CompiledRSPN:
             for start in range(0, len(live), chunk):
                 part = live[start:start + chunk]
                 values = self._sweep_fused(
-                    [spec for _, spec in part], arena, stage, kernel
+                    [spec for _, spec in part], arena, stage
                 )
                 results[[col for col, _ in part]] = values
         finally:
@@ -589,12 +568,12 @@ class CompiledRSPN:
         """Scalar evaluation as a batch of one."""
         return float(self.evaluate_batch([spec])[0])
 
-    def _sweep_fused(self, specs, arena, stage, kernel):
+    def _sweep_fused(self, specs, arena, stage):
         """One arena sweep over the fused plan; returns the root row.
 
         The arena may be wider than ``len(specs)`` (a reused lease whose
-        trailing columns belong to a previous, larger chunk): kernels
-        always sweep the full width -- the leaf block is reset to the
+        trailing columns belong to a previous, larger chunk): the sweep
+        always covers the full width -- the leaf block is reset to the
         all-ones marginalisation identity across it, so spare columns
         compute a harmless (and discarded) full marginal.
         """
@@ -603,32 +582,27 @@ class CompiledRSPN:
         plan = self.plan
         arena[: plan.n_leaves].fill(1.0)
         self._fill_leaves(arena, specs)
-        if kernel == "numba":
-            kernels.pick(kernels.sweep_tape, kernels.sweep_tape_py)(
-                arena, *plan.tape()
-            )
-        else:
-            for op in plan.ops:
-                dst = arena[op.dst_lo: op.dst_lo + op.n_seg]
-                if op.is_sum:
-                    for p, slots in enumerate(op.pos_slots):
-                        k = slots.shape[0]
-                        buf = stage[:k]
-                        np.take(arena, slots, axis=0, out=buf)
-                        if p == 0:
-                            np.multiply(buf, op.pos_weights[0], out=dst)
-                        else:
-                            np.multiply(buf, op.pos_weights[p], out=buf)
-                            np.add(dst[:k], buf, out=dst[:k])
-                else:
-                    for p, slots in enumerate(op.pos_slots):
-                        k = slots.shape[0]
-                        buf = stage[:k]
-                        np.take(arena, slots, axis=0, out=buf)
-                        if p == 0:
-                            np.copyto(dst, buf)
-                        else:
-                            np.multiply(dst[:k], buf, out=dst[:k])
+        for op in plan.ops:
+            dst = arena[op.dst_lo: op.dst_lo + op.n_seg]
+            if op.is_sum:
+                for p, slots in enumerate(op.pos_slots):
+                    k = slots.shape[0]
+                    buf = stage[:k]
+                    np.take(arena, slots, axis=0, out=buf)
+                    if p == 0:
+                        np.multiply(buf, op.pos_weights[0], out=dst)
+                    else:
+                        np.multiply(buf, op.pos_weights[p], out=buf)
+                        np.add(dst[:k], buf, out=dst[:k])
+            else:
+                for p, slots in enumerate(op.pos_slots):
+                    k = slots.shape[0]
+                    buf = stage[:k]
+                    np.take(arena, slots, axis=0, out=buf)
+                    if p == 0:
+                        np.copyto(dst, buf)
+                    else:
+                        np.multiply(dst[:k], buf, out=dst[:k])
         out = arena[plan.root_slot, :n_queries].copy()
         self.sweep_count += 1
         self.sweep_queries += n_queries
@@ -638,9 +612,8 @@ class CompiledRSPN:
     def _sweep_legacy(self, specs):
         """The pre-fusion reference sweep: full ``(n_nodes, n_queries)``
         matrix, per-leaf-row fills, per-level gathers -- with the same
-        pinned left-to-right accumulation as the fused kernels, so it
-        stays bit-identical while remaining the memory/speed baseline
-        the kernel bench compares against."""
+        pinned left-to-right accumulation as the fused sweep, so it
+        stays bit-identical; the tests' reference oracle."""
         started = time.perf_counter_ns()
         n_queries = len(specs)
         values = np.ones((self.n_nodes, n_queries), dtype=float)
@@ -693,8 +666,8 @@ class CompiledRSPN:
         flattened interval arrays are shared across the scope's rows
         via :class:`~repro.core.leaves.PreparedBatch`.  The scope's
         ``DiscreteLeaf`` rows are then filled in one pass by its fused
-        :class:`~repro.core.leaves.DiscreteScopeTable`; other leaf
-        kinds evaluate per leaf.
+        :class:`~repro.core.leaves.DiscreteScopeTable`; ``BinnedLeaf``
+        rows evaluate per leaf.
         """
         for scope_index, qcols in self._touched_scopes(specs).items():
             slots_map: dict = {}
@@ -732,20 +705,9 @@ class CompiledRSPN:
                     table.evaluate(prepared)[:, assign]
                 )
             for leaf_slot, leaf in per_leaf:
-                batch = getattr(leaf, "evaluate_batch", None)
-                if batch is not None:
-                    try:
-                        distinct = np.asarray(
-                            batch(ranges, transforms, prepared=prepared),
-                            dtype=float,
-                        )
-                    except TypeError:  # a leaf predating the prepared API
-                        distinct = np.asarray(batch(ranges, transforms), dtype=float)
-                else:  # generic leaf without a vectorised kernel
-                    distinct = np.array(
-                        [leaf.evaluate(r, t) for r, t in zip(ranges, transforms)],
-                        dtype=float,
-                    )
+                distinct = leaf.evaluate_batch(
+                    ranges, transforms, prepared=prepared
+                )
                 arena[leaf_slot, cols] = distinct[assign]
 
     def _scope_table(self, scope_index):
@@ -926,22 +888,20 @@ def _post_order(root):
 
 
 # ----------------------------------------------------------------------
-# Flat-array export / import (shared-memory tree transport)
+# Flat-array export / import (the model store's tree codec)
 # ----------------------------------------------------------------------
 # A node tree lowered to plain arrays plus a small JSON-able structure
-# header, so the sharded evaluator can publish the whole model into one
-# shared-memory segment and workers can rebuild an evaluation twin whose
-# leaf histograms are zero-copy views into the externally-owned buffer.
-# Only what evaluation needs is exported: node kinds, child topology,
-# sum-node counts (weights are derived exactly as the live tree derives
-# them) and the leaf payload arrays.  Update-only state (KMeans routing
-# models, FD dictionaries) stays behind -- imported trees are read-only
-# evaluation twins, which is all a sharding worker ever runs.
+# header, so the model store can persist the whole model as one blob and
+# a reader can rebuild an evaluation twin whose leaf histograms are
+# zero-copy views into the externally-owned buffer.  Only what
+# evaluation needs is exported: node kinds, child topology, sum-node
+# counts (weights are derived exactly as the live tree derives them) and
+# the leaf payload arrays.  Update-only state (KMeans routing models, FD
+# dictionaries) stays behind; the store frames it separately.
 #
-# The fused sweep plan itself is NOT exported: it is a pure function of
-# the post order, which export/import preserve exactly, so the worker's
-# recompiled plan is identical (the transport ships the parent's
-# ``plan_signature`` and the worker verifies the match).
+# The fused sweep plan is a pure function of the post order, which
+# export/import preserve exactly, so a recompiled twin's plan is
+# identical (``plan_signature`` proves it).
 
 _KIND_SUM, _KIND_PRODUCT, _KIND_DISCRETE, _KIND_BINNED = 0, 1, 2, 3
 
@@ -1047,10 +1007,8 @@ def export_tree_arrays(root):
         "kind": "rspn-tree",
         "root_row": index_of[id(root)],
         "leaves": leaf_meta,
-        # The worker recompiles the plan from the (preserved) post
-        # order; shipping the parent's digest lets it prove the plans
-        # match before answering (plan drift -> error -> serial
-        # fallback, never a wrong answer).
+        # A reader recompiles the plan from the (preserved) post order;
+        # the digest lets it prove the plans match.
         "plan_signature": compiled_for(root).plan_signature(),
     }
     arrays = {
@@ -1071,8 +1029,7 @@ def import_tree_arrays(meta, arrays):
     """Rebuild an evaluation twin from :func:`export_tree_arrays` output.
 
     Leaf histogram arrays are **views into the caller's buffer** -- no
-    copies -- so the buffer (e.g. an attached shared-memory segment)
-    must outlive the returned tree.  The twin evaluates bit-identically
+    copies -- so the buffer (e.g. a store file mapping) must outlive the returned tree.  The twin evaluates bit-identically
     to the exported tree (post order, and therefore the fused sweep
     plan, are preserved exactly); it is read-only (no KMeans routing
     state), so never route updates at it.
@@ -1119,8 +1076,7 @@ def row_index(root) -> dict:
     """Cached ``id(node) -> post-order row`` map of a tree.
 
     The batch applier (:mod:`repro.core.updates`) uses it to name the
-    nodes it touched by their canonical rows, which is the vocabulary
-    :func:`export_tree_delta` and the shard transport speak.
+    nodes it touched by their canonical rows.
     """
     index = _ROW_INDEX.get(root)
     if index is None:
@@ -1129,146 +1085,6 @@ def row_index(root) -> dict:
         }
         _ROW_INDEX[root] = index
     return index
-
-
-def export_tree_delta(root, sum_rows, leaf_rows, from_generation,
-                      to_generation):
-    """Lower the *touched* rows of a tree to a ``(meta, arrays)`` patch.
-
-    The delta is **absolute state, not diffs**: for every touched sum
-    row it carries the full current counts array, for every touched
-    leaf row the full current payload (same per-kind layout as
-    :func:`export_tree_arrays`).  Applying it therefore lands any twin
-    whose *untouched* rows match the base state exactly on
-    ``to_generation`` -- workers lagging at any generation in
-    ``[from_generation, to_generation)`` patch with the same blob.
-    ``meta`` ships the parent's post-refresh ``plan_signature`` so the
-    patched worker can prove its re-baked plan matches.
-    """
-    order = _post_order(root)
-    sum_rows = sorted(int(row) for row in set(sum_rows))
-    leaf_rows = sorted(int(row) for row in set(leaf_rows))
-    sum_offsets = [0]
-    sum_chunks: list[np.ndarray] = []
-    for row in sum_rows:
-        node = order[row]
-        if not isinstance(node, SumNode):
-            raise TypeError(f"delta row {row} is not a sum node")
-        counts = np.asarray(node.counts, dtype=np.float64)
-        sum_chunks.append(counts)
-        sum_offsets.append(sum_offsets[-1] + counts.shape[0])
-    leaf_kinds = np.empty(len(leaf_rows), dtype=np.int8)
-    leaf_ns = np.empty(len(leaf_rows), dtype=np.int64)
-    leaf_offsets = [0]
-    leaf_chunks: list[np.ndarray] = []
-    for slot, row in enumerate(leaf_rows):
-        node = order[row]
-        if isinstance(node, DiscreteLeaf):
-            leaf_kinds[slot] = _KIND_DISCRETE
-            leaf_ns[slot] = int(node.values.shape[0])
-            payload = [
-                np.asarray(node.values, dtype=np.float64),
-                np.asarray(node.counts, dtype=np.float64),
-                np.asarray([node.null_count], dtype=np.float64),
-            ]
-        elif isinstance(node, BinnedLeaf):
-            leaf_kinds[slot] = _KIND_BINNED
-            leaf_ns[slot] = int(node.counts.shape[0])
-            payload = [
-                np.asarray(node.edges, dtype=np.float64),
-                np.asarray(node.counts, dtype=np.float64),
-                np.asarray(node.sums, dtype=np.float64),
-                np.asarray(node.distinct, dtype=np.float64),
-                np.asarray([node.null_count], dtype=np.float64),
-            ]
-        else:
-            raise TypeError(f"delta row {row} is not a histogram leaf")
-        leaf_chunks.extend(payload)
-        leaf_offsets.append(
-            leaf_offsets[-1] + sum(chunk.shape[0] for chunk in payload)
-        )
-    meta = {
-        "kind": "rspn-tree-delta",
-        "from_generation": int(from_generation),
-        "to_generation": int(to_generation),
-        "plan_signature": compiled_for(root).plan_signature(),
-    }
-    arrays = {
-        "sum_rows": np.asarray(sum_rows, dtype=np.int64),
-        "sum_offsets": np.asarray(sum_offsets, dtype=np.int64),
-        "sum_counts": (
-            np.concatenate(sum_chunks)
-            if sum_chunks else np.empty(0, dtype=np.float64)
-        ),
-        "leaf_rows": np.asarray(leaf_rows, dtype=np.int64),
-        "leaf_kinds": leaf_kinds,
-        "leaf_ns": leaf_ns,
-        "leaf_offsets": np.asarray(leaf_offsets, dtype=np.int64),
-        "leaf_data": (
-            np.concatenate(leaf_chunks)
-            if leaf_chunks else np.empty(0, dtype=np.float64)
-        ),
-    }
-    return meta, arrays
-
-
-def apply_tree_delta(root, meta, arrays):
-    """Patch a tree in place from an :func:`export_tree_delta` blob.
-
-    Touched arrays are replaced with private **copies** (never views),
-    so the delta's backing buffer can be released immediately after the
-    call.  Does not touch the generation machinery: the caller decides
-    whether the patched tree's compiled form can be weight-refreshed
-    (:meth:`CompiledRSPN.refresh_weights`) or must recompile.  Returns
-    ``(sum nodes patched, leaves patched)``.
-    """
-    if meta.get("kind") != "rspn-tree-delta":
-        raise ValueError(f"not a tree delta: {meta.get('kind')!r}")
-    order = _post_order(root)
-    sum_rows = arrays["sum_rows"]
-    sum_offsets = arrays["sum_offsets"]
-    sum_counts = arrays["sum_counts"]
-    for i in range(sum_rows.shape[0]):
-        node = order[int(sum_rows[i])]
-        if not isinstance(node, SumNode):
-            raise TypeError(f"delta row {int(sum_rows[i])} is not a sum node")
-        a, b = int(sum_offsets[i]), int(sum_offsets[i + 1])
-        node.counts = sum_counts[a:b].copy()
-        node._weights = None
-    leaf_rows = arrays["leaf_rows"]
-    leaf_kinds = arrays["leaf_kinds"]
-    leaf_ns = arrays["leaf_ns"]
-    leaf_offsets = arrays["leaf_offsets"]
-    leaf_data = arrays["leaf_data"]
-    for i in range(leaf_rows.shape[0]):
-        node = order[int(leaf_rows[i])]
-        kind = int(leaf_kinds[i])
-        n = int(leaf_ns[i])
-        offset = int(leaf_offsets[i])
-        if kind == _KIND_DISCRETE:
-            if not isinstance(node, DiscreteLeaf):
-                raise TypeError(
-                    f"delta row {int(leaf_rows[i])} is not a DiscreteLeaf"
-                )
-            node.values = leaf_data[offset:offset + n].copy()
-            node.counts = leaf_data[offset + n:offset + 2 * n].copy()
-            node.null_count = float(leaf_data[offset + 2 * n])
-        elif kind == _KIND_BINNED:
-            if not isinstance(node, BinnedLeaf):
-                raise TypeError(
-                    f"delta row {int(leaf_rows[i])} is not a BinnedLeaf"
-                )
-            edges_end = offset + n + 1
-            node.edges = leaf_data[offset:edges_end].copy()
-            node.counts = leaf_data[edges_end:edges_end + n].copy()
-            node.sums = leaf_data[edges_end + n:edges_end + 2 * n].copy()
-            node.distinct = (
-                leaf_data[edges_end + 2 * n:edges_end + 3 * n].copy()
-            )
-            node.null_count = float(leaf_data[edges_end + 3 * n])
-        else:
-            raise ValueError(f"unknown leaf kind {kind}")
-    return int(sum_rows.shape[0]), int(leaf_rows.shape[0])
 
 
 def post_order(root):
@@ -1293,8 +1109,7 @@ def thaw_tree(root):
     """Copy-on-write release of a tree from its backing buffer.
 
     An :func:`import_tree_arrays` twin aliases the exporter's buffer
-    (a shared-memory segment or a file mapping) through read-only array
-    views; in-place updates would fail on them, and the buffer cannot
+    (a store file mapping) through read-only array views; in-place updates would fail on them, and the buffer cannot
     be unmapped while they live.  Thawing replaces every read-only
     array in the tree with a private writable copy -- bit-identical, so
     evaluation and the fused plan are unchanged -- after which the tree
@@ -1323,7 +1138,7 @@ def thaw_tree(root):
 # compiled form straight from those buffers: O(ops) plan restore, leaf
 # objects built lazily per scope on first touch, and the Python node
 # tree not built at all until something actually needs it (the legacy
-# kernel, the sharded transport, or an update).
+# reference sweep, or an update).
 
 # Array names the model store persists for the plan tape, in
 # ``_FusedPlan.tape()`` order.
@@ -1338,8 +1153,7 @@ def plan_store_payload(form):
 
     ``scalars`` is a JSON-able dict for the store's blob header;
     ``tape_arrays`` maps :data:`PLAN_TAPE_KEYS` to the plan's flattened
-    instruction stream (the exact arrays the numba kernel interprets).
-    :func:`restore_compiled` inverts both.
+    instruction stream.  :class:`MappedCompiledRSPN` inverts both.
     """
     plan = form.plan
     scalars = {
@@ -1482,12 +1296,11 @@ class MappedCompiledRSPN(CompiledRSPN):
 
     Construction is O(plan ops + leaf count) cheap slicing over buffers
     that typically live in a model store mapping; nothing is copied.
-    Evaluation through the fused numpy/numba kernels is bit-identical to
-    the tree-lowered form (same plan tape, same leaf payloads).  Paths
-    that genuinely need the node tree -- the ``legacy`` reference
-    kernel, the sharded evaluator's transport, updates -- call
-    ``materialize()``, which imports the twin and re-homes this form
-    onto it (see :func:`adopt`).
+    Evaluation through the fused sweep is bit-identical to the
+    tree-lowered form (same plan tape, same leaf payloads).  Paths that
+    genuinely need the node tree -- the ``legacy`` reference sweep,
+    updates -- call ``materialize()``, which imports the twin and
+    re-homes this form onto it (see :func:`adopt`).
     """
 
     def __init__(self, meta, arrays, materialize):
@@ -1529,21 +1342,12 @@ class MappedCompiledRSPN(CompiledRSPN):
         self.sweep_ns = 0
         self.sweep_queries = 0
 
-    def root_ref(self):
-        # Class-level counterpart of CompiledRSPN's ``root_ref``
-        # instance attribute (a weakref to the tree): the sharded
-        # transport calls it, and for a mapped form that means
-        # materialising the tree on demand.  :func:`adopt` shadows this
-        # with a real weakref once the twin exists.  A method (not a
-        # stored bound method) so the form never references itself.
-        return self._materialize()
-
-    def evaluate_batch(self, specs, executor=None):
-        # The legacy reference kernel sweeps the full node-value matrix
+    def evaluate_batch(self, specs):
+        # The legacy reference sweep reads the full node-value matrix
         # and needs the tree; build the real lowered form for it.
         if kernels.resolve() == "legacy":
-            return self._full_form().evaluate_batch(specs, executor=executor)
-        return super().evaluate_batch(specs, executor=executor)
+            return self._full_form().evaluate_batch(specs)
+        return super().evaluate_batch(specs)
 
     def _full_form(self):
         root = self._materialize()
@@ -1602,7 +1406,6 @@ def adopt(root, form):
     the (by then thawed) tree.
     """
     form.generation = generation(root)
-    form.root_ref = weakref.ref(root)
     _CACHE[root] = form
 
 

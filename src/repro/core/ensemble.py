@@ -62,14 +62,12 @@ class SPNEnsemble:
         self.training_seconds: float = 0.0
         self.rspn_training_seconds: list[float] = []
         self._structure_generation = 0
-        self.evaluator = None
 
     def add(self, rspn, seconds=0.0):
         self.rspns.append(rspn)
         self.rspn_training_seconds.append(seconds)
         self.training_seconds += seconds
         self._structure_generation += 1
-        rspn.evaluator = self.evaluator
         return rspn
 
     def replace(self, index, rspn, seconds=0.0):
@@ -82,9 +80,7 @@ class SPNEnsemble:
         the old one had absorbed updates), silently un-invalidating
         every generation-keyed cache -- so the structure counter is
         advanced past everything the outgoing model contributed, keeping
-        the ensemble counter strictly monotonic.  The old model is
-        retired from the shared evaluator (dropping its published
-        shared-memory segments); the new one is attached in its place.
+        the ensemble counter strictly monotonic.
         """
         old = self.rspns[index]
         self._structure_generation += 1 + int(old.generation)
@@ -92,39 +88,7 @@ class SPNEnsemble:
         self.training_seconds += seconds
         if index < len(self.rspn_training_seconds):
             self.rspn_training_seconds[index] = seconds
-        rspn.evaluator = self.evaluator
-        if self.evaluator is not None:
-            retire = getattr(self.evaluator, "retire_model", None)
-            if retire is not None:
-                retire(old.root)
-        old.evaluator = None
         return rspn
-
-    def set_evaluator(self, evaluator):
-        """Attach (or detach, with ``None``) a shared batch executor.
-
-        Every member RSPN's ``expectation_batch`` -- and with it every
-        batched consumer: ``cardinality_batch``, the plan prefetch, the
-        ML heads, each coalesced serving flush -- then shards its
-        compiled sweeps through ``evaluator``
-        (:class:`repro.core.sharding.ShardedEvaluator`).  One evaluator
-        (one process pool, one spec transport -- and under the ``shm``
-        transport one shared tree segment per member RSPN generation)
-        is shared across the whole ensemble.  Detaching (or replacing)
-        an evaluator retires this ensemble's models from the old one,
-        so a long-lived shared pool does not keep cached blobs or
-        published shared-memory segments for models it no longer
-        serves.
-        """
-        previous, self.evaluator = self.evaluator, evaluator
-        for rspn in self.rspns:
-            rspn.evaluator = evaluator
-        if previous is not None and previous is not evaluator:
-            retire = getattr(previous, "retire_model", None)
-            if retire is not None:
-                for rspn in self.rspns:
-                    retire(rspn.root)
-        return evaluator
 
     @property
     def generation(self):

@@ -75,16 +75,13 @@ def evaluate(node, spec: EvaluationSpec):
     return float(evaluate_batch(node, (spec,))[0])
 
 
-def evaluate_batch(node, specs, executor=None):
+def evaluate_batch(node, specs):
     """Evaluate many specs in one compiled bottom-up sweep.
 
     Returns an array of ``len(specs)`` floats; the compiled form of the
-    tree is built (and cached) on first use.  ``executor`` optionally
-    shards the sweep across worker processes
-    (:class:`repro.core.sharding.ShardedEvaluator`); results are
-    bit-identical to the serial in-process sweep.
+    tree is built (and cached) on first use.
     """
-    return compiled_mod.compiled_for(node).evaluate_batch(specs, executor=executor)
+    return compiled_mod.compiled_for(node).evaluate_batch(specs)
 
 
 def evaluate_walk(node, spec: EvaluationSpec):

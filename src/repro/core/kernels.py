@@ -1,23 +1,18 @@
-"""Execution kernels for compiled RSPN inference.
+"""Execution kernel for compiled RSPN inference.
 
-One process-wide knob -- ``kernel={auto, numpy, numba, legacy}`` --
-selects how :class:`~repro.core.compiled.CompiledRSPN` executes its
-bottom-up sweep and how the histogram leaves execute their batched
-kernels:
+:class:`~repro.core.compiled.CompiledRSPN` executes its bottom-up sweep
+as the **fused arena sweep**: pre-planned ``np.take`` / ``np.multiply``
+/ ``np.add`` calls over a small reusable arena.  It is the only
+production kernel.
 
-- ``numpy``  -- the fused arena sweep (pre-planned ``np.take`` /
-  ``np.multiply`` / ``np.add`` calls over a small reusable arena).
-- ``numba``  -- the same sweep plan lowered to one ``@njit`` tape
-  interpreter, plus ``@njit`` lowerings of both leaf kernels.  Falls
-  back **silently** to ``numpy`` when numba is not installed.
-- ``auto``   -- ``numba`` when available, ``numpy`` otherwise (default).
-- ``legacy`` -- the pre-fusion full-``(n_nodes, n_queries)`` matrix
-  sweep.  Kept as the differential/bench baseline
-  (``benchmarks/bench_kernels.py`` measures fused vs legacy).
+The pre-fusion full-``(n_nodes, n_queries)`` matrix sweep, with its
+per-leaf fills, is kept as a **test-only reference oracle**: tests reach
+it through :func:`use` (``with kernels.use("legacy"): ...``) and assert
+the fused sweep is ``==`` to it.
 
 Bit-identity contract
 ---------------------
-All kernels produce **bit-identical** results (``==``, not allclose).
+Both sweeps produce **bit-identical** results (``==``, not allclose).
 That is only possible because every reduction in the hot path has an
 *explicitly pinned accumulation order*:
 
@@ -31,126 +26,53 @@ That is only possible because every reduction in the hot path has an
 - the binned leaf's per-query bin reduction uses the explicit halving
   fold of :func:`ordered_rowsum`;
 - the discrete leaf's prefix sums ride ``np.cumsum`` / ``np.add.at``,
-  which are sequential and therefore exactly replicable in a scalar
-  loop.
+  which are sequential.
 
 Elementwise binary operations are fully defined by IEEE-754 regardless
-of vectorisation, so any kernel that performs the same elementwise ops
-in the same order produces the same bits.  The numba twins below are
-written as scalar loops performing exactly those ops; numba's default
-``fastmath=False`` keeps IEEE semantics (no FMA contraction, no
-reassociation).
-
-Every ``@njit`` kernel also exists as its pure-Python twin (the
-``*_py`` name): when numba is absent the twin *is* the kernel, and the
-test suite exercises the numba code path through the twins even on
-hosts without numba.
+of vectorisation, so any sweep that performs the same elementwise ops
+in the same order produces the same bits.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
-try:  # pragma: no cover - exercised only on hosts with numba installed
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the no-numba default container
-    _numba = None
-    HAVE_NUMBA = False
-
-KERNELS = ("auto", "numpy", "numba", "legacy")
-
-_DEFAULT = os.environ.get("REPRO_KERNEL", "auto")
-_KERNEL = _DEFAULT if _DEFAULT in KERNELS else "auto"
-_PYTHON_TWINS = False  # test hook: run numba code paths as pure Python
+_KERNEL = "auto"
 
 
-def set_kernel(name):
-    """Select the process-wide execution kernel (``auto`` by default).
-
-    ``numba`` on a host without numba resolves to ``numpy`` silently --
-    the knob records intent, :func:`resolve` reports what actually runs.
-    """
-    global _KERNEL
-    if name is None:
-        return
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
-    _KERNEL = name
+def check(name):
+    """Accept the names of the one production kernel (``None`` or
+    ``"auto"``); anything else raises ``ValueError``.  The legacy sweep
+    is not selectable here: it is a test oracle, reached via :func:`use`."""
+    if name not in (None, "auto"):
+        raise ValueError(
+            f"unknown kernel {name!r}: the fused sweep is the only kernel "
+            "(pass None or 'auto')"
+        )
 
 
-def get_kernel() -> str:
-    """The requested kernel name (``set_kernel``'s last value)."""
-    return _KERNEL
-
-
-def resolve(requested=None) -> str:
-    """The kernel that will actually execute: ``numpy``, ``numba`` or
-    ``legacy``.  ``auto``/``numba`` degrade silently to ``numpy`` when
-    numba is absent (unless the pure-Python twins are forced by the
-    test hook :func:`python_twins`)."""
-    name = requested or _KERNEL
-    if name == "legacy":
-        return "legacy"
-    if name in ("auto", "numba") and (HAVE_NUMBA or _PYTHON_TWINS):
-        if name == "numba" or HAVE_NUMBA:
-            return "numba"
-    return "numpy"
+def resolve() -> str:
+    """The sweep that will execute: ``numpy``, or ``legacy`` inside
+    :func:`use`."""
+    return "legacy" if _KERNEL == "legacy" else "numpy"
 
 
 @contextmanager
 def use(name):
-    """Temporarily select a kernel (tests and benches)."""
+    """Run the ``legacy`` reference sweep inside the block (tests)."""
     global _KERNEL
+    if name != "legacy":
+        raise ValueError(f"unknown kernel {name!r}; only 'legacy' can be used")
     previous = _KERNEL
-    set_kernel(name)
+    _KERNEL = name
     try:
         yield
     finally:
         _KERNEL = previous
 
 
-@contextmanager
-def python_twins():
-    """Force the numba code paths to run as their pure-Python twins.
-
-    Lets the differential suite exercise the exact code numba would
-    compile -- same loops, same per-element operations -- on hosts
-    without numba (and, on hosts with it, to check jit == twin)."""
-    global _PYTHON_TWINS
-    previous = _PYTHON_TWINS
-    _PYTHON_TWINS = True
-    try:
-        yield
-    finally:
-        _PYTHON_TWINS = previous
-
-
-def _jit(fn):
-    """``numba.njit`` when available, identity otherwise.
-
-    ``cache=False`` (kernels are tiny, compile once per process) and
-    numba's defaults keep strict IEEE float semantics (``fastmath``
-    off), which the bit-identity contract depends on."""
-    if _numba is None:
-        return fn
-    return _numba.njit(cache=False)(fn)
-
-
-def pick(jitted, python_twin):
-    """The callable to execute for a numba code path right now."""
-    if HAVE_NUMBA and not _PYTHON_TWINS:
-        return jitted
-    return python_twin
-
-
-# ----------------------------------------------------------------------
-# Ordered row reduction (shared by the binned leaf and its numba twin)
-# ----------------------------------------------------------------------
 def ordered_rowsum(matrix):
     """Per-row sum with an explicit halving-fold accumulation order.
 
@@ -173,196 +95,10 @@ def ordered_rowsum(matrix):
     return a[:, 0].copy()
 
 
-def rowsum_fold_py(a):
-    """Scalar twin of :func:`ordered_rowsum` (consumes ``a`` too)."""
-    n_rows, m = a.shape
-    out = np.zeros(n_rows, dtype=np.float64)
-    if m == 0:
-        return out
-    for r in range(n_rows):
-        mm = m
-        while mm > 1:
-            h = (mm + 1) // 2
-            for j in range(mm - h):
-                a[r, j] = a[r, j] + a[r, j + h]
-            mm = h
-        out[r] = a[r, 0]
-    return out
-
-
-rowsum_fold = _jit(rowsum_fold_py)
-
-
-# ----------------------------------------------------------------------
-# Fused sweep tape interpreter (numba lowering of the level sweep)
-# ----------------------------------------------------------------------
-def sweep_tape_py(
-    arena, op_is_sum, op_dst, op_pos_off, pos_count, pos_child_off,
-    child_slots, weights,
-):
-    """Execute a fused sweep plan's flattened instruction tape.
-
-    Mirrors the NumPy fused executor exactly: per op, position 0
-    initialises the destination block (``dst = w * child`` for sums,
-    ``dst = child`` for products); later positions accumulate
-    ``dst += w * child`` / ``dst *= child``.  The weight multiply
-    rounds before the accumulate, matching the two separate NumPy
-    ufunc calls -- and numba does not contract them into an FMA.
-    """
-    n_cols = arena.shape[1]
-    for o in range(op_is_sum.shape[0]):
-        dst0 = op_dst[o]
-        p_lo, p_hi = op_pos_off[o], op_pos_off[o + 1]
-        for p in range(p_lo, p_hi):
-            k = pos_count[p]
-            c0 = pos_child_off[p]
-            first = p == p_lo
-            if op_is_sum[o] == 1:
-                for s in range(k):
-                    src = child_slots[c0 + s]
-                    w = weights[c0 + s]
-                    d = dst0 + s
-                    if first:
-                        for j in range(n_cols):
-                            arena[d, j] = w * arena[src, j]
-                    else:
-                        for j in range(n_cols):
-                            arena[d, j] = arena[d, j] + w * arena[src, j]
-            else:
-                for s in range(k):
-                    src = child_slots[c0 + s]
-                    d = dst0 + s
-                    if first:
-                        for j in range(n_cols):
-                            arena[d, j] = arena[src, j]
-                    else:
-                        for j in range(n_cols):
-                            arena[d, j] = arena[d, j] * arena[src, j]
-
-
-sweep_tape = _jit(sweep_tape_py)
-
-
-# ----------------------------------------------------------------------
-# Discrete leaf kernel (numba lowering of searchsorted + prefix masses)
-# ----------------------------------------------------------------------
-def discrete_masses_py(values, cum, lows, highs, low_inc, high_inc, k_idx, out):
-    """Accumulate per-query interval masses from a weighted prefix sum.
-
-    Twin of the NumPy path's four ``searchsorted`` calls plus
-    ``np.add.at(out, k_idx, cum[right] - cum[left])``: binary searches
-    are index-exact, the subtraction rounds once, and ``np.add.at`` is
-    sequential per occurrence -- so the scalar loop reproduces it
-    bit-for-bit.
-    """
-    n = values.shape[0]
-    for i in range(k_idx.shape[0]):
-        lo = lows[i]
-        hi = highs[i]
-        # searchsorted(values, lo, side='left'/'right')
-        a, b = 0, n
-        while a < b:
-            mid = (a + b) // 2
-            if values[mid] < lo or (not low_inc[i] and values[mid] == lo):
-                a = mid + 1
-            else:
-                b = mid
-        left = a
-        a, b = 0, n
-        while a < b:
-            mid = (a + b) // 2
-            if values[mid] < hi or (high_inc[i] and values[mid] == hi):
-                a = mid + 1
-            else:
-                b = mid
-        right = a
-        if right < left:
-            right = left
-        k = k_idx[i]
-        out[k] = out[k] + (cum[right] - cum[left])
-
-
-discrete_masses = _jit(discrete_masses_py)
-
-
-# ----------------------------------------------------------------------
-# Binned leaf kernel (numba lowering of the coverage matrix build)
-# ----------------------------------------------------------------------
-def binned_coverage_py(
-    lows, highs, low_inc, high_inc, k_idx,
-    low_edges, high_edges, last_edge, distinct, coverage,
-):
-    """Accumulate per-(query, bin) coverage fractions, then cap at 1.
-
-    Twin of ``BinnedLeaf._coverage_batch``: identical per-element
-    formulas (clip = min/max composition, guarded division, degenerate
-    zero-width bins, the point-interval ``1/distinct`` share) applied
-    in the same order, with the per-query interval accumulation
-    sequential in ``k_idx`` order like ``np.add.at``.
-    """
-    n_bins = low_edges.shape[0]
-    for i in range(k_idx.shape[0]):
-        k = k_idx[i]
-        lo = lows[i]
-        hi = highs[i]
-        point = lo == hi and low_inc[i] and high_inc[i]
-        for b in range(n_bins):
-            le = low_edges[b]
-            he = high_edges[b]
-            if point:
-                inside = lo >= le and (
-                    lo < he or (lo <= he and he == last_edge)
-                )
-                span = 1.0 / distinct[b] if inside else 0.0
-            else:
-                width = he - le
-                if width > 0:
-                    left = min(max(lo, le), he)
-                    right = min(max(hi, le), he)
-                    fraction = (right - left) / width
-                    span = min(max(fraction, 0.0), 1.0)
-                else:
-                    span = 1.0 if (lo <= le and he <= hi) else 0.0
-            coverage[k, b] = coverage[k, b] + span
-    n_queries = coverage.shape[0]
-    for k in range(n_queries):
-        for b in range(n_bins):
-            if coverage[k, b] > 1.0:
-                coverage[k, b] = 1.0
-
-
-binned_coverage = _jit(binned_coverage_py)
-
-
-def weighted_fold_py(coverage, rows, weights, out_vals):
-    """Per-row ``fold(coverage[row] * weights)`` for a group of rows.
-
-    Twin of ``ordered_rowsum(coverage[group] * weights)``: the weight
-    multiply rounds per element first, then the halving fold reduces
-    with the pinned order.
-    """
-    m = weights.shape[0]
-    tmp = np.empty(m, dtype=np.float64)
-    for r in range(rows.shape[0]):
-        row = rows[r]
-        for j in range(m):
-            tmp[j] = coverage[row, j] * weights[j]
-        mm = m
-        while mm > 1:
-            h = (mm + 1) // 2
-            for j in range(mm - h):
-                tmp[j] = tmp[j] + tmp[j + h]
-            mm = h
-        out_vals[r] = tmp[0] if m > 0 else 0.0
-
-
-weighted_fold = _jit(weighted_fold_py)
-
-
 def describe() -> dict:
-    """Kernel configuration for ``/stats`` and the CLI banner."""
+    """Kernel configuration for ``/stats`` and benchmark host records."""
     return {
-        "requested": get_kernel(),
+        "requested": _KERNEL,
         "active": resolve(),
-        "numba_available": HAVE_NUMBA,
+        "numba_available": False,
     }

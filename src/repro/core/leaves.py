@@ -46,13 +46,13 @@ class Transform:
         return f"Transform({self.label})"
 
     def __reduce_ex__(self, protocol):
-        # The module-level transforms below pickle *by name*, so a spec
-        # shipped to a sharding worker resolves to the worker's own
-        # singletons and identity-based dedup/grouping keeps working.
-        # Ad-hoc transforms fall through to the default behaviour:
-        # ``copy.deepcopy`` still works (functions copy atomically), and
-        # ``pickle`` fails on the lambda -- the sharded evaluator treats
-        # that as "not shippable" and falls back to the in-process sweep.
+        # The module-level transforms below copy and pickle *by name*:
+        # ``copy.deepcopy`` of a model or spec (update twins, drift
+        # shadows) must keep pointing at the same singletons, or the
+        # identity-based dedup and grouping of the sweep would treat a
+        # copied IDENTITY as an ad-hoc transform.  Ad-hoc transforms
+        # fall through to the default behaviour (functions copy
+        # atomically).
         if _WELL_KNOWN.get(self.label) is self:
             return (_well_known_transform, (self.label,))
         return super().__reduce_ex__(protocol)
@@ -70,7 +70,7 @@ INVERSE_FACTOR_SQUARE = Transform(
 FACTOR_OUTER = Transform(lambda v: np.maximum(v, 1.0), 1.0, "max(x,1)")
 FACTOR_OUTER_SQUARE = Transform(lambda v: np.maximum(v, 1.0) ** 2, 1.0, "max(x,1)^2")
 
-# label -> singleton, the pickle-by-name registry for sharded evaluation.
+# label -> singleton, the copy-by-name registry.
 _WELL_KNOWN = {
     t.label: t
     for t in (
@@ -89,23 +89,14 @@ def _well_known_transform(label):
 def well_known_label(transform) -> str | None:
     """The label of a well-known transform singleton, else ``None``.
 
-    This is the encodability test of the shared-memory spec transport
-    (:mod:`repro.core.specpack`): a transform is shippable as a plain
-    label id exactly when it *is* the registered singleton -- an ad-hoc
-    transform that merely reuses a well-known label must not silently
-    resolve to different semantics on the worker side.
+    A transform counts as well known exactly when it *is* the
+    registered singleton -- an ad-hoc transform that merely reuses a
+    well-known label must never be mistaken for it.
     """
     label = getattr(transform, "label", None)
     if label is not None and _WELL_KNOWN.get(label) is transform:
         return label
     return None
-
-
-def transform_by_label(label: str):
-    """The well-known transform singleton for ``label`` (KeyError if not
-    registered); inverse of :func:`well_known_label`, used when unpacking
-    columnar specs so worker-side identity-based dedup keeps working."""
-    return _WELL_KNOWN[label]
 
 
 def transform_dedup_key(transform):
@@ -234,11 +225,7 @@ class DiscreteLeaf(LeafNode):
         ``prepared`` is an optional :class:`PreparedBatch` for the same
         ``(ranges, transforms)``: the compiled sweep computes the
         transform grouping and interval flattening once per *scope* and
-        shares it across every leaf of that scope.  Under the ``numba``
-        kernel the search + scatter runs as one jitted loop
-        (:func:`repro.core.kernels.discrete_masses`), bit-identical to
-        the NumPy path because binary search is index-exact and
-        ``np.add.at`` is sequential.
+        shares it across every leaf of that scope.
         """
         out = np.zeros(len(ranges), dtype=float)
         total = self.total
@@ -246,7 +233,6 @@ class DiscreteLeaf(LeafNode):
             return out
         if prepared is None:
             prepared = PreparedBatch(ranges, transforms)
-        use_numba = kernels.resolve() == "numba"
         for g, (group, transform) in enumerate(prepared.groups):
             if transform is None:
                 weights = self.counts
@@ -259,16 +245,10 @@ class DiscreteLeaf(LeafNode):
                 prepared.group_intervals(g)
             )
             if k_idx.size:
-                if use_numba:
-                    kernels.pick(
-                        kernels.discrete_masses, kernels.discrete_masses_py
-                    )(self.values, cum, lows, highs, low_inc, high_inc,
-                      k_idx, out)
-                else:
-                    left, right = _interval_bounds(
-                        self.values, lows, highs, low_inc, high_inc
-                    )
-                    np.add.at(out, k_idx, cum[right] - cum[left])
+                left, right = _interval_bounds(
+                    self.values, lows, highs, low_inc, high_inc
+                )
+                np.add.at(out, k_idx, cum[right] - cum[left])
             if null_ks.size:
                 out[null_ks] += null_mass
         return out / total
@@ -504,8 +484,7 @@ class BinnedLeaf(LeafNode):
         explicit halving fold reduces each row independently and
         identically everywhere, keeping every query bit-identical
         across batch compositions (the invariance chunked evaluation
-        and process-sharding rely on) *and* across the numpy/numba
-        kernels.
+        relies on).
 
         ``prepared`` shares the interval flattening across the leaves
         of one scope, exactly as in :meth:`DiscreteLeaf.evaluate_batch`.
@@ -516,10 +495,7 @@ class BinnedLeaf(LeafNode):
             return out
         if prepared is None:
             prepared = PreparedBatch(ranges, transforms)
-        use_numba = kernels.resolve() == "numba"
-        coverage, null_flags = self._coverage_batch(
-            ranges, prepared=prepared, use_numba=use_numba
-        )
+        coverage, null_flags = self._coverage_batch(prepared)
         for group, transform in prepared.groups:
             if transform is None:
                 weights = self.counts
@@ -527,63 +503,39 @@ class BinnedLeaf(LeafNode):
             else:
                 weights = transform.fn(self._bin_means()) * self.counts
                 null_mass = self.null_count * transform.null_value
-            if use_numba:
-                values = np.empty(group.shape[0], dtype=float)
-                kernels.pick(kernels.weighted_fold, kernels.weighted_fold_py)(
-                    coverage, group, np.ascontiguousarray(weights, dtype=float),
-                    values,
-                )
-                out[group] = values
-            else:
-                out[group] = kernels.ordered_rowsum(coverage[group] * weights)
+            out[group] = kernels.ordered_rowsum(coverage[group] * weights)
             out[group[null_flags[group]]] += null_mass
         return out / total
 
-    def _coverage_batch(self, ranges, prepared=None, use_numba=False):
+    def _coverage_batch(self, prepared):
         """``(n_queries, n_bins)`` coverage fractions plus NULL flags."""
         low_edges, high_edges = self.edges[:-1], self.edges[1:]
-        if prepared is not None:
-            lows, highs, low_inc, high_inc, k_idx, null_ks = (
-                prepared.all_intervals()
-            )
-        else:
-            lows, highs, low_inc, high_inc, k_idx, null_ks = _interval_arrays(
-                ranges, np.arange(len(ranges))
-            )
-        coverage = np.zeros((len(ranges), self.counts.shape[0]), dtype=float)
+        lows, highs, low_inc, high_inc, k_idx, null_ks = prepared.all_intervals()
+        n_queries = len(prepared.ranges)
+        coverage = np.zeros((n_queries, self.counts.shape[0]), dtype=float)
         if k_idx.size:
-            if use_numba:
-                kernels.pick(
-                    kernels.binned_coverage, kernels.binned_coverage_py
-                )(
-                    lows, highs, low_inc, high_inc, k_idx,
-                    np.ascontiguousarray(low_edges),
-                    np.ascontiguousarray(high_edges),
-                    float(self.edges[-1]), self.distinct, coverage,
+            lows_m = lows[:, None]
+            highs_m = highs[:, None]
+            left = np.clip(lows_m, low_edges, high_edges)
+            right = np.clip(highs_m, low_edges, high_edges)
+            width = (high_edges - low_edges)[None, :]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                fraction = np.where(
+                    width > 0, (right - left) / np.where(width > 0, width, 1.0), 0.0
                 )
-            else:
-                lows_m = lows[:, None]
-                highs_m = highs[:, None]
-                left = np.clip(lows_m, low_edges, high_edges)
-                right = np.clip(highs_m, low_edges, high_edges)
-                width = (high_edges - low_edges)[None, :]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    fraction = np.where(
-                        width > 0, (right - left) / np.where(width > 0, width, 1.0), 0.0
-                    )
-                degenerate = (width == 0) & (lows_m <= low_edges) & (high_edges <= highs_m)
-                span = np.where(degenerate, 1.0, np.clip(fraction, 0.0, 1.0))
-                is_point = (lows == highs) & low_inc & high_inc
-                if is_point.any():
-                    inside = (lows_m >= low_edges) & (
-                        (lows_m < high_edges)
-                        | ((lows_m <= high_edges) & (high_edges == self.edges[-1]))
-                    )
-                    point = np.where(inside, 1.0 / self.distinct[None, :], 0.0)
-                    span = np.where(is_point[:, None], point, span)
-                np.add.at(coverage, k_idx, span)
-                np.minimum(coverage, 1.0, out=coverage)
-        null_flags = np.zeros(len(ranges), dtype=bool)
+            degenerate = (width == 0) & (lows_m <= low_edges) & (high_edges <= highs_m)
+            span = np.where(degenerate, 1.0, np.clip(fraction, 0.0, 1.0))
+            is_point = (lows == highs) & low_inc & high_inc
+            if is_point.any():
+                inside = (lows_m >= low_edges) & (
+                    (lows_m < high_edges)
+                    | ((lows_m <= high_edges) & (high_edges == self.edges[-1]))
+                )
+                point = np.where(inside, 1.0 / self.distinct[None, :], 0.0)
+                span = np.where(is_point[:, None], point, span)
+            np.add.at(coverage, k_idx, span)
+            np.minimum(coverage, 1.0, out=coverage)
+        null_flags = np.zeros(n_queries, dtype=bool)
         null_flags[null_ks] = True
         return coverage, null_flags
 

@@ -251,9 +251,8 @@ def commit_refresh(ensemble, replacements):
     The cheap O(replacements) commit phase of :func:`rebuild_drifted`:
     run it under the serving session's write lock.  Each swap goes
     through :meth:`~repro.core.ensemble.SPNEnsemble.replace`, which
-    keeps the ensemble generation strictly monotonic and retires the
-    outgoing model from the shared evaluator.  Untouched RSPNs keep
-    their incremental state.  Returns the number of models swapped.
+    keeps the ensemble generation strictly monotonic.  Untouched RSPNs
+    keep their incremental state.  Returns the number of models swapped.
     """
     for index, fresh, seconds in replacements:
         ensemble.replace(index, fresh, seconds=seconds)

@@ -1,11 +1,10 @@
 """Memory-mapped model store: the specpack blob layout as persistence.
 
 The JSON format in :mod:`repro.core.serialization` rebuilds a Python
-node tree element by element -- cold start is O(model).  This module
-makes the wire format PR 5/6 already invented the *on-disk* format: a
-store file is a small JSON header followed by, per RSPN, one specpack
-blob of flat tree arrays (:func:`repro.core.compiled.export_tree_arrays`)
-*plus the compiled sweep plan's tape*
+node tree element by element -- cold start is O(model).  A store file
+is a small JSON header followed by, per RSPN, one specpack blob of flat
+tree arrays (:func:`repro.core.compiled.export_tree_arrays`) *plus the
+compiled sweep plan's tape*
 (:func:`repro.core.compiled.plan_store_payload`) and a separate routing
 section.  Loading mmaps the file, restores the compiled form straight
 from the persisted tape (O(plan ops), not O(nodes)), and answers
@@ -13,11 +12,11 @@ queries with leaf histograms built per touched scope as read-only
 ``np.frombuffer`` views into the mapping -- no pickle, no JSON parse of
 histograms, no node-tree rebuild, no recompile, no histogram copy.  The
 Python node tree only materialises
-(:func:`~repro.core.compiled.import_tree_arrays`) when an update, the
-``legacy`` reference kernel or the sharded transport genuinely needs
-nodes.  Cold start is O(metadata) and resident memory is demand-paged
-by the OS, which is what lets one server host thousands of tenant
-models (see :class:`repro.serving.registry.ModelRegistry`'s LRU pager).
+(:func:`~repro.core.compiled.import_tree_arrays`) when an update or the
+``legacy`` reference sweep genuinely needs nodes.  Cold start is
+O(metadata) and resident memory is demand-paged by the OS, which is
+what lets one server host thousands of tenant models (see
+:class:`repro.serving.registry.ModelRegistry`'s LRU pager).
 
 File layout (all integers little-endian)::
 
@@ -598,7 +597,7 @@ class ModelStore:
         queries straight from the persisted plan tape and build leaf
         objects (read-only views into the mmap) per touched scope on
         demand.  The node tree itself materialises only for paths that
-        need it (updates, the legacy kernel, the sharded transport).
+        need it (updates, the legacy reference sweep).
         The returned ensemble pins this store open until it is garbage
         collected (or the owning ``DeepDB.close()`` runs).
         """
@@ -715,8 +714,8 @@ class MappedRSPN(RSPN):
     :func:`~repro.core.compiled.import_tree_arrays` twin whose leaf
     histograms are read-only views into the mapping, with routing state
     re-attached from the store's routing section) the first time a path
-    genuinely needs nodes: an update, the ``legacy`` reference kernel,
-    the sharded transport, sampling, or direct ``.root`` access.
+    genuinely needs nodes: an update, the ``legacy`` reference sweep,
+    sampling, or direct ``.root`` access.
 
     The update path mutates leaf histograms in place, which a read-only
     view forbids -- so the first ``insert``/``delete`` additionally
@@ -806,10 +805,10 @@ class MappedRSPN(RSPN):
         return form
 
     # -- inference / telemetry without the tree ------------------------
-    def evaluate_specs(self, specs, executor=None):
+    def evaluate_specs(self, specs):
         if self._materialized is not None:
-            return super().evaluate_specs(specs, executor=executor)
-        return self._compiled().evaluate_batch(specs, executor=executor)
+            return super().evaluate_specs(specs)
+        return self._compiled().evaluate_batch(specs)
 
     @property
     def generation(self):

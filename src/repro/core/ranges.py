@@ -168,35 +168,6 @@ class Range:
             return None
         return [interval.low for interval in self.intervals]
 
-    # -- columnar round-trip (shared-memory spec transport) ---------------
-    def columnar(self):
-        """Lower the intervals to parallel ``(lows, highs, flags)`` lists.
-
-        The exact inverse of :meth:`from_columnar`: ``flags`` packs the
-        two inclusivity booleans into one small int (bit 0 = low
-        inclusive, bit 1 = high inclusive).  Bounds are plain floats
-        (``±inf`` included), so a round trip through a float64 array --
-        which is how :mod:`repro.core.specpack` ships ranges across
-        process boundaries -- reproduces this range bit-for-bit.
-        """
-        lows, highs, flags = [], [], []
-        for interval in self.intervals:
-            lows.append(interval.low)
-            highs.append(interval.high)
-            flags.append(
-                int(interval.low_inclusive) | (int(interval.high_inclusive) << 1)
-            )
-        return lows, highs, flags
-
-    @classmethod
-    def from_columnar(cls, lows, highs, flags, include_null):
-        """Rebuild a Range from :meth:`columnar` output (array slices ok)."""
-        intervals = tuple(
-            Interval(float(low), float(high), bool(flag & 1), bool(flag & 2))
-            for low, high, flag in zip(lows, highs, flags)
-        )
-        return cls(intervals, include_null=bool(include_null))
-
     def describe(self):
         parts = []
         for interval in self.intervals:

@@ -96,10 +96,6 @@ class RSPN:
             fd.dependent: fd for fd in functional_dependencies
         }
         self.config = config or RspnConfig()
-        # Shared batch executor (e.g. a ShardedEvaluator) used by
-        # :meth:`expectation_batch` when no explicit one is passed;
-        # attached via :meth:`repro.core.ensemble.SPNEnsemble.set_evaluator`.
-        self.evaluator = None
 
     # ------------------------------------------------------------------
     # Learning
@@ -187,7 +183,7 @@ class RSPN:
                 spec.transform(self.column_index[name], transform)
         return spec
 
-    def evaluate_specs(self, specs, executor=None):
+    def evaluate_specs(self, specs):
         """Evaluate prepared :class:`EvaluationSpec`\\ s in one sweep.
 
         The single funnel every expectation takes to the compiled form;
@@ -195,14 +191,14 @@ class RSPN:
         from the store-restored compiled form without materialising the
         node tree.
         """
-        return inference.evaluate_batch(self.root, specs, executor=executor)
+        return inference.evaluate_batch(self.root, specs)
 
     def expectation(self, conditions=None, transforms=None):
         """E[ prod h_i(X_i) * 1_{conditions} ] under the model."""
         spec = self._build_spec(conditions, transforms)
         return float(self.evaluate_specs([spec])[0])
 
-    def expectation_batch(self, requests, executor=None):
+    def expectation_batch(self, requests):
         """Batched :meth:`expectation`: one compiled bottom-up sweep.
 
         ``requests`` is a sequence of ``(conditions, transforms)`` pairs
@@ -211,22 +207,12 @@ class RSPN:
         probabilistic query compiler uses to evaluate all expectation
         sub-queries of one SQL query -- and all GROUP BY groups -- in a
         single pass over this RSPN.
-
-        ``executor`` shards the sweep across worker processes; when
-        omitted the ensemble-attached :attr:`evaluator` (if any)
-        applies, so consumers that batch -- the compiler, the ML heads,
-        each coalesced serving flush -- fan out without signature
-        changes.  Sharded results are bit-identical to serial under
-        either spec transport (the zero-copy shared-memory default or
-        the pickle fallback; see :mod:`repro.core.sharding`).
         """
         specs = [
             self._build_spec(conditions, transforms)
             for conditions, transforms in requests
         ]
-        if executor is None:
-            executor = self.evaluator
-        return self.evaluate_specs(specs, executor=executor)
+        return self.evaluate_specs(specs)
 
     def invalidate_compiled(self):
         """Mark the cached flat-array form stale after out-of-band tree

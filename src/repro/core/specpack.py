@@ -1,53 +1,16 @@
-"""Columnar struct-of-arrays packing of evaluation-spec batches.
+"""The blob codec: named flat arrays plus a JSON header in one buffer.
 
-The sharded evaluator ships one batch of
-:class:`~repro.core.inference.EvaluationSpec` objects to its worker
-processes per flush.  Pickling those object graphs (nested dicts of
-frozen ``Range``/``Interval`` dataclasses) is the dominant per-flush
-cost once the model tree itself is cached worker-side.  This module
-lowers a spec batch into a handful of flat NumPy arrays plus offset
-arrays -- a columnar struct-of-arrays form -- so the whole batch can be
-published **once** into a shared-memory segment and every worker can
-slice out just its query range by offsets, without copying or
-deserializing the rest of the batch.
-
-Layout (all arrays parallel, offsets follow the CSR convention)::
-
-    cond_offsets : int64[n_specs + 1]   spec s owns conditions
-                                        [cond_offsets[s], cond_offsets[s+1])
-    cond_scope   : int64[n_conds]       scope index of each condition
-    cond_null    : uint8[n_conds]       Range.include_null
-    ivl_offsets  : int64[n_conds + 1]   condition c owns intervals
-                                        [ivl_offsets[c], ivl_offsets[c+1])
-    ivl_low/high : float64[n_intervals] interval bounds (±inf welcome)
-    ivl_flags    : uint8[n_intervals]   bit 0 = low incl, bit 1 = high incl
-    tr_offsets   : int64[n_specs + 1]   spec s owns transform entries
-    tr_scope     : int64[n_entries]     scope index of each entry
-    tr_label     : int64[n_entries]     index into the header label table
-
-Transforms are encoded **by label id**: only the well-known singletons
-of :mod:`repro.core.leaves` (IDENTITY, SQUARE, the tuple-factor family)
-are shippable this way, and unpacking resolves labels back to the
-worker's own singletons so identity-based dedup and grouping keep
-working.  An ad-hoc transform raises :class:`SpecPackError`; the
-transport layer treats that as "not packable" and falls back to pickle
-(and, if the transform is a lambda pickle cannot carry either, to the
-in-process sweep).
-
-The module also provides the generic **segment blob codec** shared with
-the tree transport of :mod:`repro.core.sharding`: a segment is laid out
-as ``[8-byte header length][JSON header][16-byte-aligned payload]``
-where the header records each array's dtype/shape/offset, so attaching
-readers get zero-copy :func:`numpy.frombuffer` views straight into the
-shared buffer.  The codec is deliberately meta-preserving: whatever the
-writer puts in ``meta`` rides the header verbatim, which is how the
-tree transport ships the parent's fused-plan signature
-(``meta["plan_signature"]``, see :mod:`repro.core.compiled`) to workers
-so they can prove their recompiled sweep plan matches the parent's
-before answering queries.  Headers carry a layout version
-(:data:`BLOB_LAYOUT_VERSION`); readers accept versionless blobs (the
-pre-versioning layout is identical) but refuse blobs from a newer
-layout instead of misreading them.
+The model store (:mod:`repro.core.modelstore`) persists each RSPN as one
+blob: ``[8-byte header length][JSON header][16-byte-aligned payload]``,
+where the header records each array's dtype/shape/offset, so a reader
+gets zero-copy :func:`numpy.frombuffer` views straight into the buffer
+(an mmapped store file).  The codec is deliberately meta-preserving:
+whatever the writer puts in ``meta`` rides the header verbatim, which
+is how the store carries the fused-plan signature
+(``meta["plan_signature"]``, see :mod:`repro.core.compiled`).  Headers
+carry a layout version (:data:`BLOB_LAYOUT_VERSION`); readers accept
+versionless blobs (the pre-versioning layout is identical) but refuse
+blobs from a newer layout instead of misreading them.
 """
 
 from __future__ import annotations
@@ -56,10 +19,6 @@ import json
 import struct
 
 import numpy as np
-
-from repro.core.inference import EvaluationSpec
-from repro.core.leaves import transform_by_label, well_known_label
-from repro.core.ranges import Range
 
 _ALIGN = 16
 
@@ -71,13 +30,10 @@ BLOB_LAYOUT_VERSION = 1
 
 
 class SpecPackError(TypeError):
-    """A spec batch cannot be lowered to the columnar form (ad-hoc
-    transform, or an object that is not an ``EvaluationSpec``)."""
+    """A buffer is not a readable blob (truncated, garbled or from a
+    newer layout)."""
 
 
-# ----------------------------------------------------------------------
-# Generic segment blob codec
-# ----------------------------------------------------------------------
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
@@ -111,7 +67,7 @@ def blob_layout(meta: dict, arrays: dict):
 
 
 def write_blob(buf, header: bytes, payload_base: int, arrays: dict):
-    """Write a planned blob into a writable buffer (e.g. ``shm.buf``)."""
+    """Write a planned blob into a writable buffer."""
     buf[0:8] = struct.pack("<Q", len(header))
     buf[8:8 + len(header)] = header
     offset = 0
@@ -128,7 +84,7 @@ def write_blob(buf, header: bytes, payload_base: int, arrays: dict):
 
 
 def blob_bytes(meta: dict, arrays: dict) -> bytearray:
-    """The blob as an in-memory buffer (tests; no shared memory needed)."""
+    """The blob as an in-memory buffer."""
     header, payload_base, total = blob_layout(meta, arrays)
     buf = bytearray(total)
     write_blob(buf, header, payload_base, arrays)
@@ -138,9 +94,9 @@ def blob_bytes(meta: dict, arrays: dict) -> bytearray:
 def read_blob(buf):
     """``(meta, {name: read-only array view})`` from a blob buffer.
 
-    Views alias ``buf`` directly -- zero copies.  Callers attaching a
-    shared-memory segment must drop every view (and anything derived
-    from it) before closing the segment.
+    Views alias ``buf`` directly -- zero copies.  Callers reading a
+    mapping must drop every view (and anything derived from it) before
+    closing the mapping.
 
     Every frame bound is validated against ``len(buf)`` before any view
     is taken, so a truncated or garbled buffer raises
@@ -200,182 +156,3 @@ def read_blob(buf):
         view.flags.writeable = False
         arrays[name] = view
     return meta, arrays
-
-
-# ----------------------------------------------------------------------
-# Tree-delta blobs
-# ----------------------------------------------------------------------
-# The streaming-ingest patch format: instead of republishing the whole
-# tree segment after a batch of updates, the shard transport ships a
-# blob holding only the touched rows' current state
-# (:func:`repro.core.compiled.export_tree_delta`).  The codec is the
-# same header+payload layout as every other segment; this section just
-# names the kind and validates a received patch's internal consistency
-# before a worker applies it to its cached twin.
-
-TREE_DELTA_KIND = "rspn-tree-delta"
-
-_TREE_DELTA_ARRAYS = (
-    "sum_rows", "sum_offsets", "sum_counts",
-    "leaf_rows", "leaf_kinds", "leaf_ns", "leaf_offsets", "leaf_data",
-)
-
-
-def validate_tree_delta(meta, arrays):
-    """Check a decoded tree-delta blob's frame before applying it.
-
-    Raises :class:`SpecPackError` on a wrong kind, missing arrays, or
-    offset tables that disagree with their payloads -- the same
-    refuse-to-misread contract :func:`read_blob` gives for the byte
-    layout, one level up.  Returns ``(n sum rows, n leaf rows)``.
-    """
-    if meta.get("kind") != TREE_DELTA_KIND:
-        raise SpecPackError(
-            f"not a tree delta: kind {meta.get('kind')!r}"
-        )
-    missing = [name for name in _TREE_DELTA_ARRAYS if name not in arrays]
-    if missing:
-        raise SpecPackError(f"tree delta is missing arrays {missing}")
-    n_sums = int(arrays["sum_rows"].shape[0])
-    n_leaves = int(arrays["leaf_rows"].shape[0])
-    sum_offsets = arrays["sum_offsets"]
-    leaf_offsets = arrays["leaf_offsets"]
-    if sum_offsets.shape[0] != n_sums + 1:
-        raise SpecPackError(
-            f"sum_offsets has {sum_offsets.shape[0]} entries for "
-            f"{n_sums} sum rows"
-        )
-    if leaf_offsets.shape[0] != n_leaves + 1:
-        raise SpecPackError(
-            f"leaf_offsets has {leaf_offsets.shape[0]} entries for "
-            f"{n_leaves} leaf rows"
-        )
-    for name in ("leaf_kinds", "leaf_ns"):
-        if arrays[name].shape[0] != n_leaves:
-            raise SpecPackError(
-                f"{name} has {arrays[name].shape[0]} entries for "
-                f"{n_leaves} leaf rows"
-            )
-    if n_sums and int(sum_offsets[-1]) != arrays["sum_counts"].shape[0]:
-        raise SpecPackError(
-            f"sum_offsets claims {int(sum_offsets[-1])} counts but "
-            f"sum_counts holds {arrays['sum_counts'].shape[0]}"
-        )
-    if n_leaves and int(leaf_offsets[-1]) != arrays["leaf_data"].shape[0]:
-        raise SpecPackError(
-            f"leaf_offsets claims {int(leaf_offsets[-1])} floats but "
-            f"leaf_data holds {arrays['leaf_data'].shape[0]}"
-        )
-    return n_sums, n_leaves
-
-
-# ----------------------------------------------------------------------
-# Spec batch <-> columnar arrays
-# ----------------------------------------------------------------------
-def pack_specs(specs):
-    """Lower a spec batch to ``(meta, arrays)`` columnar form.
-
-    Raises :class:`SpecPackError` when any transform is not one of the
-    well-known singletons (the transport falls back to pickle then).
-    """
-    cond_offsets, cond_scope, cond_null = [0], [], []
-    ivl_offsets, ivl_low, ivl_high, ivl_flags = [0], [], [], []
-    tr_offsets, tr_scope, tr_label = [0], [], []
-    label_ids: dict[str, int] = {}
-    for spec in specs:
-        ranges = getattr(spec, "ranges", None)
-        transforms = getattr(spec, "transforms", None)
-        if ranges is None or transforms is None:
-            raise SpecPackError(
-                f"cannot pack {type(spec).__name__!r}: not an EvaluationSpec"
-            )
-        for scope_index, rng in ranges.items():
-            cond_scope.append(int(scope_index))
-            cond_null.append(1 if rng.include_null else 0)
-            lows, highs, flags = rng.columnar()
-            ivl_low.extend(lows)
-            ivl_high.extend(highs)
-            ivl_flags.extend(flags)
-            ivl_offsets.append(len(ivl_low))
-        cond_offsets.append(len(cond_scope))
-        for scope_index, transform_list in transforms.items():
-            for transform in transform_list:
-                label = well_known_label(transform)
-                if label is None:
-                    raise SpecPackError(
-                        f"cannot pack ad-hoc transform {transform!r}: only "
-                        "the well-known transform singletons ship by label"
-                    )
-                tr_scope.append(int(scope_index))
-                tr_label.append(label_ids.setdefault(label, len(label_ids)))
-        tr_offsets.append(len(tr_scope))
-    meta = {
-        "kind": "specpack",
-        "n_specs": len(cond_offsets) - 1,
-        "labels": sorted(label_ids, key=label_ids.get),
-    }
-    arrays = {
-        "cond_offsets": np.asarray(cond_offsets, dtype=np.int64),
-        "cond_scope": np.asarray(cond_scope, dtype=np.int64),
-        "cond_null": np.asarray(cond_null, dtype=np.uint8),
-        "ivl_offsets": np.asarray(ivl_offsets, dtype=np.int64),
-        "ivl_low": np.asarray(ivl_low, dtype=np.float64),
-        "ivl_high": np.asarray(ivl_high, dtype=np.float64),
-        "ivl_flags": np.asarray(ivl_flags, dtype=np.uint8),
-        "tr_offsets": np.asarray(tr_offsets, dtype=np.int64),
-        "tr_scope": np.asarray(tr_scope, dtype=np.int64),
-        "tr_label": np.asarray(tr_label, dtype=np.int64),
-    }
-    return meta, arrays
-
-
-def unpack_specs(meta, arrays, lo=0, hi=None):
-    """Rebuild ``EvaluationSpec`` objects for queries ``[lo, hi)``.
-
-    The inverse of :func:`pack_specs`: ranges compare equal to the
-    originals and transforms resolve to the process-local well-known
-    singletons (``is``-identical within one process).  Only the slice's
-    rows of the offset arrays are touched -- unpacking a slice costs
-    O(slice), not O(batch).  The returned specs hold no references into
-    ``arrays``, so a backing shared-memory segment can be closed as soon
-    as unpacking returns.
-    """
-    n_specs = int(meta["n_specs"])
-    hi = n_specs if hi is None else hi
-    if not 0 <= lo <= hi <= n_specs:
-        raise IndexError(f"slice [{lo}, {hi}) outside batch of {n_specs}")
-    labels = [transform_by_label(label) for label in meta["labels"]]
-    cond_offsets = arrays["cond_offsets"]
-    cond_scope = arrays["cond_scope"]
-    cond_null = arrays["cond_null"]
-    ivl_offsets = arrays["ivl_offsets"]
-    ivl_low = arrays["ivl_low"]
-    ivl_high = arrays["ivl_high"]
-    ivl_flags = arrays["ivl_flags"]
-    tr_offsets = arrays["tr_offsets"]
-    tr_scope = arrays["tr_scope"]
-    tr_label = arrays["tr_label"]
-    specs = []
-    for s in range(lo, hi):
-        spec = EvaluationSpec()
-        for c in range(int(cond_offsets[s]), int(cond_offsets[s + 1])):
-            a, b = int(ivl_offsets[c]), int(ivl_offsets[c + 1])
-            spec.ranges[int(cond_scope[c])] = Range.from_columnar(
-                ivl_low[a:b], ivl_high[a:b], ivl_flags[a:b], cond_null[c]
-            )
-        for t in range(int(tr_offsets[s]), int(tr_offsets[s + 1])):
-            spec.transforms.setdefault(int(tr_scope[t]), []).append(
-                labels[int(tr_label[t])]
-            )
-        specs.append(spec)
-    return specs
-
-
-def unpack_slice(buf, lo=0, hi=None):
-    """One-call convenience: :func:`read_blob` + :func:`unpack_specs`.
-
-    Safe to call against a shared-memory buffer that will be closed
-    right after: no views survive the return.
-    """
-    meta, arrays = read_blob(buf)
-    return unpack_specs(meta, arrays, lo, hi)

@@ -11,7 +11,7 @@ Two appliers share that traversal:
 
 - :func:`update_tuple` -- the original one-tuple path.  Every call
   invalidates the compiled form, so a stream of N inserts pays N full
-  re-lowerings (and N whole-tree re-ships to shard workers).
+  re-lowerings.
 - :class:`TreeBatch` -- the streaming-ingest path.  Tuples are *staged*
   against copy-on-write shadows of exactly the nodes they touch (the
   live tree is never mutated while readers sweep it), then *committed*
@@ -64,9 +64,8 @@ def _update(node, row, sign):
 class BatchDelta:
     """What one committed :class:`TreeBatch` touched.
 
-    ``sum_rows`` / ``leaf_rows`` are canonical post-order rows (the
-    vocabulary of :func:`repro.core.compiled.export_tree_delta`), so
-    the shard transport can ship a patch covering exactly these nodes.
+    ``sum_rows`` / ``leaf_rows`` are canonical post-order rows
+    (:func:`repro.core.compiled.row_index`) of the touched nodes.
     ``generation`` is the root's generation after the commit.
     """
 

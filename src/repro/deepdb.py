@@ -15,6 +15,7 @@ The resulting object serves the runtime tasks:
 
 from __future__ import annotations
 
+from repro.core import kernels
 from repro.core.compilation import ProbabilisticQueryCompiler
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
 from repro.core.ml import RspnClassifier, RspnRegressor
@@ -25,27 +26,9 @@ from repro.engine.parser import parse_query
 class DeepDB:
     """An RSPN ensemble plus probabilistic query compilation.
 
-    ``shards=N`` fans every batched compiled sweep out across ``N``
-    worker processes (:class:`~repro.core.sharding.ShardedEvaluator`):
-    large ``cardinality_batch``/``approximate_batch`` calls, the plan
-    prefetch, the ML heads and each coalesced serving flush all ride
-    the same shared pool.  Sharded answers are bit-identical to the
-    in-process sweep, and any pool failure falls back to it, so
-    ``shards`` is purely a throughput knob.  ``transport`` picks how
-    specs and the model cross the process boundary: ``"shm"`` (the
-    default where shared memory works) publishes the model's flat
-    arrays once per generation and each spec batch once per flush into
-    named shared-memory segments that workers slice zero-copy;
-    ``"pickle"`` is the portability fallback.  Pass a prebuilt
-    ``evaluator`` instead to share one pool across several models;
-    call :meth:`close` to shut the pool down.
-
-    ``kernel`` selects the compiled-sweep execution kernel
-    (:mod:`repro.core.kernels`): ``"auto"`` (default), ``"numpy"``
-    (fused NumPy), ``"numba"`` (JIT-lowered sweep; silently equivalent
-    to ``"numpy"`` when numba is not installed) or ``"legacy"`` (the
-    pre-fusion full-matrix sweep).  All kernels return bit-identical
-    answers -- the knob only moves speed and memory.
+    ``kernel`` may be ``None`` or ``"auto"``: the fused sweep of
+    :mod:`repro.core.kernels` is the only kernel, and any other value
+    raises ``ValueError``.
 
     ``corrector`` turns on the workload feedback loop
     (:mod:`repro.feedback`): ``"observe"`` logs every estimate and the
@@ -67,13 +50,9 @@ class DeepDB:
     falsy value to disable caching.
     """
 
-    def __init__(self, database, ensemble, shards=None, evaluator=None,
-                 transport=None, kernel=None, store=None, corrector=None,
-                 plan_cache=True):
-        if kernel is not None:
-            from repro.core import kernels
-
-            kernels.set_kernel(kernel)
+    def __init__(self, database, ensemble, kernel=None, store=None,
+                 corrector=None, plan_cache=True):
+        kernels.check(kernel)
         self.database = database
         self.ensemble = ensemble
         self.compiler = ProbabilisticQueryCompiler(ensemble)
@@ -91,17 +70,6 @@ class DeepDB:
         # loaded from a store file; None for learned / JSON-loaded
         # models.  close() releases it deterministically.
         self._store = store
-        self._owns_evaluator = False
-        if evaluator is None and shards:
-            from repro.core.sharding import ShardedEvaluator
-
-            evaluator = ShardedEvaluator(
-                n_workers=int(shards), transport=transport
-            )
-            self._owns_evaluator = True
-        self.evaluator = evaluator
-        if evaluator is not None:
-            ensemble.set_evaluator(evaluator)
         # Plan cache (repro.optimizer.plancache): True builds one keyed
         # on this database's featurized query shapes; a prebuilt
         # PlanCache may be shared; falsy disables caching entirely.
@@ -127,33 +95,24 @@ class DeepDB:
             return None  # text keys still catch verbatim repeats
 
     @classmethod
-    def learn(cls, database, config: EnsembleConfig | None = None, shards=None,
-              transport=None, kernel=None, corrector=None, plan_cache=True):
+    def learn(cls, database, config: EnsembleConfig | None = None,
+              kernel=None, corrector=None, plan_cache=True):
         """Offline learning phase: build the RSPN ensemble for a database."""
         ensemble = learn_ensemble(database, config)
-        return cls(database, ensemble, shards=shards, transport=transport,
-                   kernel=kernel, corrector=corrector, plan_cache=plan_cache)
+        return cls(database, ensemble, kernel=kernel, corrector=corrector,
+                   plan_cache=plan_cache)
 
     def close(self):
-        """Detach this model from its evaluator; afterwards its batches
-        evaluate in-process (answers are unchanged).  The worker pool
-        itself is only shut down when this instance created it
-        (``shards=N``) -- a caller-supplied shared evaluator keeps
-        serving its other models and is the caller's to close.
+        """Release the backing store, if any.
 
-        When the model was loaded from a store file this also drops the
+        When the model was loaded from a store file this drops the
         ensemble and unmaps the store **deterministically**: the tree
         views die with the ensemble reference (trees are acyclic, so a
         refcount cascade frees them synchronously), after which the
         mapping can close without waiting for the garbage collector.
-        The instance is unusable afterwards in that case.
+        The instance is unusable afterwards in that case; otherwise
+        this is a no-op.
         """
-        if self.evaluator is not None:
-            self.ensemble.set_evaluator(None)
-            if self._owns_evaluator:
-                self.evaluator.close()
-            self.evaluator = None
-            self._owns_evaluator = False
         if self._store is not None:
             store, self._store = self._store, None
             # Order matters: release every reference into the mapping
@@ -210,8 +169,8 @@ class DeepDB:
         return self._corrector_document
 
     @classmethod
-    def load(cls, path, database, shards=None, transport=None, kernel=None,
-             corrector=None, plan_cache=True):
+    def load(cls, path, database, kernel=None, corrector=None,
+             plan_cache=True):
         """Re-open a persisted ensemble against its database.
 
         The file's magic bytes decide the decode path: model-store files
@@ -225,6 +184,7 @@ class DeepDB:
         """
         from repro.core.modelstore import is_store_file, open_store
 
+        kernels.check(kernel)  # before the store is mapped
         if is_store_file(path):
             store = open_store(path)
             try:
@@ -233,8 +193,7 @@ class DeepDB:
             except BaseException:
                 store.close()
                 raise
-            instance = cls(database, ensemble, shards=shards,
-                           transport=transport, kernel=kernel, store=store,
+            instance = cls(database, ensemble, kernel=kernel, store=store,
                            corrector=corrector, plan_cache=plan_cache)
             instance._corrector_document = document
             if document is not None and instance.feedback is not None:
@@ -253,9 +212,8 @@ class DeepDB:
         )
         from repro.core.serialization import load_ensemble
 
-        return cls(database, load_ensemble(path, database), shards=shards,
-                   transport=transport, kernel=kernel, corrector=corrector,
-                   plan_cache=plan_cache)
+        return cls(database, load_ensemble(path, database), kernel=kernel,
+                   corrector=corrector, plan_cache=plan_cache)
 
     # ------------------------------------------------------------------
     # Runtime tasks
@@ -490,9 +448,7 @@ class DeepDB:
 
     def commit_update_batch(self, pending):
         """Commit a staged batch: publish every touched RSPN's shadows
-        (one generation bump each, compiled form patched in place) and
-        hand the touched-node delta to the sharded evaluator so workers
-        receive a leaf-delta patch instead of a whole-tree republish.
+        (one generation bump each, compiled form patched in place).
 
         Returns per-slot results aligned with the staged ops: the
         post-commit :attr:`generation` for applied slots, the validation
@@ -500,14 +456,7 @@ class DeepDB:
         """
         staged, slots = pending
         for rspn, batch in staged:
-            before = rspn.generation
-            delta = rspn.commit_batch(batch)
-            if delta is None or self.evaluator is None:
-                continue
-            record = getattr(self.evaluator, "record_tree_delta", None)
-            if record is not None:
-                record(rspn.root, before, delta.generation,
-                       delta.sum_rows, delta.leaf_rows)
+            rspn.commit_batch(batch)
         generation = self.generation
         return [
             slot if isinstance(slot, Exception) else generation
@@ -570,8 +519,6 @@ class DeepDB:
         (``scope_tables`` / ``scope_table_bytes``) without
         instrumenting anything.
         """
-        from repro.core import kernels
-
         totals = {
             "n_models": 0,
             "sweeps": 0,

@@ -16,15 +16,16 @@ it, keyed on
   -- any data update or committed corrector training changes the
   estimates behind every cached plan, so the whole cache invalidates.
 
-Entries are LRU-evicted; hit/miss/invalidation/eviction counters
-mirror the serving result cache so operators can watch both through
-``/stats``.
+:class:`PlanCache` is a :class:`repro.lru.LRUCache`, the same class
+behind the serving result cache, so operators watch both through
+``/stats`` with the same hit/miss/invalidation/eviction counters.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+
+from repro.lru import LRUCache
 
 
 def cache_epoch(estimator, feedback=None):
@@ -50,7 +51,7 @@ def cache_epoch(estimator, feedback=None):
     return (generation, trainings)
 
 
-class PlanCache:
+class PlanCache(LRUCache):
     """LRU cache of ``(plan, estimated_cost, oracle)`` planning entries.
 
     ``featurizer`` (a :class:`~repro.feedback.featurize.QueryFeaturizer`)
@@ -64,15 +65,11 @@ class PlanCache:
     """
 
     def __init__(self, featurizer=None, maxsize=128):
+        super().__init__(maxsize)
         self.featurizer = featurizer
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+        # Serializes the epoch check with the lookup/store it guards.
+        self._epoch_lock = threading.Lock()
         self._epoch = None
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Keying
@@ -104,59 +101,37 @@ class PlanCache:
     def lookup(self, query, epoch, linear=False):
         """The cached entry for ``query`` at ``epoch``, or ``None``."""
         key = self.shape_key(query, linear)
-        with self._lock:
+        with self._epoch_lock:
             self._sync_locked(epoch)
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+            return self.get(key)[1]
 
     def store(self, query, entry, epoch, linear=False):
         """Cache ``entry`` for ``query``'s shape at ``epoch``."""
         key = self.shape_key(query, linear)
-        with self._lock:
+        with self._epoch_lock:
             self._sync_locked(epoch)
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self.put(key, entry)
 
     def invalidate(self):
         """Drop every entry (counted), e.g. on an explicit flush."""
-        with self._lock:
-            if self._entries:
-                self._entries.clear()
-            self.invalidations += 1
+        self.clear(invalidated=True)
 
     def _sync_locked(self, epoch):
         if epoch == self._epoch:
             return
-        if self._epoch is not None and self._entries:
-            self._entries.clear()
-            self.invalidations += 1
+        if self._epoch is not None and len(self):
+            self.clear(invalidated=True)
         self._epoch = epoch
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
     def snapshot(self):
-        """Counter snapshot for ``/stats`` (mirrors the result cache)."""
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "epoch": list(self._epoch) if self._epoch is not None
-                else None,
-            }
+        """Counter snapshot for ``/stats`` (the result cache's counters,
+        ``size`` for its ``entries``, plus the current epoch)."""
+        with self._epoch_lock:
+            snap = super().snapshot()
+            epoch = self._epoch
+        snap["size"] = snap.pop("entries")
+        snap["epoch"] = list(epoch) if epoch is not None else None
+        return snap

@@ -34,7 +34,10 @@ from repro.serving.session import ModelSession
 
 
 class ModelRegistry:
-    """Thread-safe name -> :class:`ModelSession` mapping with LRU paging."""
+    """Thread-safe name -> :class:`ModelSession` mapping with LRU paging.
+
+    Paging keeps its own LRU order (byte budget, dirty pins), not LRUCache's.
+    """
 
     def __init__(self, memory_budget_bytes=None):
         # Insertion/access order is LRU order: oldest first.
@@ -80,18 +83,20 @@ class ModelRegistry:
             return session
 
     def register_store(self, name, path, database, cache_size=256,
-                       shards=None, transport=None, kernel=None,
-                       corrector=None, plan_cache=True) -> dict:
+                       kernel=None, corrector=None, plan_cache=True) -> dict:
         """Register a model by store file without loading it.
 
         Validates the header (magic, CRC, version -- raising
         :class:`~repro.core.modelstore.ModelStoreError` on corruption)
         and records how to page the model in later; the blobs stay on
-        disk until the first query routed at ``name``.  Returns the
-        store catalog.
+        disk until the first query routed at ``name``.  ``kernel``
+        follows :class:`~repro.deepdb.DeepDB` (``None``/``"auto"``).
+        Returns the store catalog.
         """
+        from repro.core import kernels
         from repro.core.modelstore import read_catalog
 
+        kernels.check(kernel)
         catalog = read_catalog(path)
         with self._lock:
             self._check_name_free(name)
@@ -99,9 +104,6 @@ class ModelRegistry:
                 "path": catalog["path"],
                 "database": database,
                 "cache_size": cache_size,
-                "shards": shards,
-                "transport": transport,
-                "kernel": kernel,
                 "corrector": corrector,
                 "plan_cache": plan_cache,
                 "catalog": catalog,
@@ -164,8 +166,7 @@ class ModelRegistry:
 
         start = time.perf_counter_ns()
         deepdb = DeepDB.load(
-            entry["path"], entry["database"], shards=entry["shards"],
-            transport=entry["transport"], kernel=entry["kernel"],
+            entry["path"], entry["database"],
             corrector=entry.get("corrector"),
             plan_cache=entry.get("plan_cache", True),
         )

@@ -17,15 +17,7 @@ instance with the state the serving layer needs around it:
   fails only that request), deduplicates identical request texts,
   serves cache hits, and answers the rest through the batched estimator
   protocol -- ``cardinality_batch`` / ``answer_batch`` and the
-  prefetching plan oracle.  When the model carries a sharded evaluator
-  (``DeepDB(shards=N)`` / ``repro serve --shards N``), each flushed
-  batch's compiled sweeps fan out across the evaluator's worker
-  processes -- the coalescer builds the batch, the pool executes it.
-  Under the default ``shm`` transport each flush is published once
-  into a shared-memory segment the workers slice zero-copy;
-  :meth:`ModelSession.snapshot` surfaces the transport name plus its
-  bytes-shipped/publish-overhead counters under ``sharding`` so
-  ``GET /stats`` exposes per-transport cost live.
+  prefetching plan oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +27,8 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+from repro.lru import LRUCache as ResultCache
 
 KINDS = ("cardinality", "approximate", "plan")
 
@@ -111,64 +105,6 @@ class ReadWriteLock:
             with self._condition:
                 self._writer = False
                 self._condition.notify_all()
-
-
-class ResultCache:
-    """Thread-safe LRU cache with hit/miss/eviction counters.
-
-    ``maxsize <= 0`` disables caching entirely (every lookup misses,
-    puts are dropped) -- benchmarks use that to measure pure coalescing.
-    """
-
-    def __init__(self, maxsize=256):
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def get(self, key):
-        """``(hit, value)`` -- two-tuple so cached falsy values work."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return True, self._entries[key]
-            self.misses += 1
-            return False, None
-
-    def put(self, key, value):
-        if self.maxsize <= 0:
-            return
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self, invalidated=False):
-        with self._lock:
-            self._entries.clear()
-            if invalidated:
-                self.invalidations += 1
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
 
 
 class ModelSession:
@@ -366,12 +302,7 @@ class ModelSession:
     # Introspection
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Model state for ``GET /stats``.  When a sharded evaluator is
-        attached, ``sharding`` carries its counters including the
-        ``transport`` name, the per-transport ``transport_stats``
-        (bytes shipped, publish seconds, live segment count) and the
-        ``autotune`` record explaining the serial/sharded crossover.
-        ``kernel`` reports the active sweep kernel plus aggregate sweep
+        """Model state for ``GET /stats``.  ``kernel`` reports the active sweep kernel plus aggregate sweep
         telemetry (per-sweep ns, arena bytes) across the ensemble.
         ``feedback`` carries the workload-feedback counters (logged /
         applied / gated_out, trainer state) when the model runs with a
@@ -390,9 +321,6 @@ class ModelSession:
         kernel_stats = getattr(self.deepdb, "kernel_stats", None)
         if kernel_stats is not None:
             snap["kernel"] = kernel_stats()
-        evaluator = getattr(self.deepdb, "evaluator", None)
-        if evaluator is not None:
-            snap["sharding"] = evaluator.stats()
         feedback_stats = getattr(self.deepdb, "feedback_stats", None)
         if feedback_stats is not None:
             feedback = feedback_stats()

@@ -1,9 +1,7 @@
 """Shared fixtures: small synthetic databases used across the test suite,
-plus the session-wide shared-memory leak hunter."""
+plus the session-wide store-mapping leak hunter."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -11,36 +9,6 @@ import pytest
 from repro.engine.join import compute_tuple_factors
 from repro.engine.table import Database, Table
 from repro.schema.schema import Attribute, SchemaGraph, TableSchema
-
-_SHM_DIR = "/dev/shm"
-
-
-def repro_segments():
-    """Names of live ``repro-`` shared-memory segments on this host."""
-    try:
-        return sorted(
-            name for name in os.listdir(_SHM_DIR) if name.startswith("repro-")
-        )
-    except OSError:  # no POSIX shm mount (non-Linux): nothing to hunt
-        return []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    """Fail the run if any ``repro-`` shared-memory segment survives it.
-
-    The sharded evaluator's shm transport owns named segments in
-    ``/dev/shm``; every code path -- plain ``close()``, worker crashes,
-    generation bumps, interpreter exit -- must unlink them.  Segments
-    that predate the session (e.g. another process's) are tolerated but
-    nothing created during the session may outlive it.
-    """
-    before = set(repro_segments())
-    yield
-    survivors = [name for name in repro_segments() if name not in before]
-    assert not survivors, (
-        f"shared-memory segments leaked by this test session: {survivors}"
-    )
 
 
 def mapped_store_files():

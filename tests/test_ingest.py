@@ -1,5 +1,5 @@
 """Streaming ingest: bounded queue, batch applier, copy-on-write
-snapshots, incremental invalidation and the leaf-delta shard transport.
+snapshots and incremental invalidation.
 
 The load-bearing properties, all asserted with ``==`` (never allclose):
 
@@ -8,16 +8,12 @@ The load-bearing properties, all asserted with ``==`` (never allclose):
 - one batch costs one generation bump per touched RSPN, not one per
   tuple;
 - concurrent readers racing a stream of batches only ever observe one
-  of the serially-reachable snapshot states -- never a torn tree;
-- the shm transport ships a touched-leaf delta strictly smaller than
-  the whole-tree republish, and a worker patched with it answers
-  bit-identically to the parent.
+  of the serially-reachable snapshot states -- never a torn tree.
 """
 
 from __future__ import annotations
 
 import copy
-import gc
 import json
 import threading
 import urllib.error
@@ -26,14 +22,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core import compiled, sharding
+from repro.core import compiled
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
-from repro.core.inference import EvaluationSpec
 from repro.core.leaves import BinnedLeaf, DiscreteLeaf
-from repro.core.learning import learn_structure
 from repro.core.nodes import SumNode
-from repro.core.ranges import Interval, Range
-from repro.core.updates import TreeBatch
 from repro.deepdb import DeepDB
 from repro.ingest import BatchApplier, DriftMonitor, QueueClosed, UpdateOp, UpdateQueue
 from repro.serving import ModelRegistry, start_server
@@ -473,123 +465,6 @@ class TestBatchApplier:
         stats = applier.stats()
         assert stats["applied"] == 2
         assert stats["rejected"] == 1
-
-
-# ----------------------------------------------------------------------
-# Leaf-delta shard transport
-# ----------------------------------------------------------------------
-def _learned_root(seed=0):
-    rng = np.random.default_rng(seed)
-    cluster = rng.choice([0, 1], 6_000, p=[0.4, 0.6])
-    x = np.where(cluster == 0, rng.normal(10, 1, 6_000),
-                 rng.normal(-10, 1, 6_000))
-    data = np.column_stack([cluster, x, rng.normal(size=6_000)])
-    return learn_structure(data, [True, False, False])
-
-
-def _probe_spec():
-    spec = EvaluationSpec()
-    spec.condition(1, Range((Interval(-np.inf, 0.0, True, True),)))
-    return spec
-
-
-@pytest.mark.skipif(
-    not sharding.shm_available(), reason="named shared memory unavailable"
-)
-class TestTreeDeltaTransport:
-    def _exercise(self, transport):
-        # Runs in its own frame so the worker-side compiled trees (which
-        # hold views into the shm segments) are dropped before the
-        # caller tears the segments down.
-        root = _learned_root()
-        key = sharding.model_key(root)
-        payload, _ = transport.tree_payload(
-            root, key, compiled.generation(root), False
-        )
-        assert payload[0] == "shm-tree"
-        worker = sharding._worker_model(
-            key, compiled.generation(root), payload
-        )
-        full_bytes = transport.stats()["tree_bytes"]
-
-        batch = TreeBatch(root)
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            batch.stage(np.array([
-                float(rng.integers(0, 2)), float(rng.normal(0, 12)),
-                float(rng.normal()),
-            ]))
-        from_generation = compiled.generation(root)
-        delta = batch.commit()
-        transport.record_tree_delta(
-            key, from_generation, delta.generation,
-            delta.sum_rows, delta.leaf_rows,
-        )
-        payload, _ = transport.tree_payload(
-            root, key, delta.generation, False
-        )
-        assert payload[0] == "shm-tree-delta"
-        patched = sharding._worker_model(key, delta.generation, payload)
-        assert patched is worker  # warm worker patched in place
-        parent = compiled.compiled_for(root).evaluate_batch([_probe_spec()])
-        shipped = patched.evaluate_batch([_probe_spec()])
-        assert (shipped == parent).all()
-
-        stats = transport.stats()
-        assert stats["tree_delta_publishes"] == 1
-        assert 0 < stats["tree_delta_bytes"] < full_bytes
-
-        # A cold worker bootstraps from base segment + delta.  The
-        # imported twin's node graph is cyclic, so collect before the
-        # cache drop or the segment closes under live views.
-        del worker, patched
-        gc.collect()
-        sharding._clear_worker_models()
-        cold = sharding._worker_model(key, delta.generation, payload)
-        assert (cold.evaluate_batch([_probe_spec()]) == parent).all()
-
-        # A generation gap (out-of-band invalidate) falls back to a
-        # full republish -- never a wrong patch.
-        compiled.invalidate(root)
-        payload, _ = transport.tree_payload(
-            root, key, compiled.generation(root), False
-        )
-        assert payload[0] == "shm-tree"
-
-    def test_delta_patch_is_smaller_and_bit_identical(self):
-        transport = sharding.SharedMemorySpecTransport()
-        try:
-            self._exercise(transport)
-        finally:
-            gc.collect()
-            sharding._clear_worker_models()
-            transport.close()
-        assert transport.stats()["segments_active"] == 0
-
-    def test_deepdb_commit_records_delta_with_evaluator(self, template_deepdb):
-        deepdb = _clone(template_deepdb)
-
-        class Recorder:
-            calls = []
-
-            def record_tree_delta(self, root, from_generation, to_generation,
-                                  sum_rows, leaf_rows):
-                self.calls.append(
-                    (root, from_generation, to_generation,
-                     list(sum_rows), list(leaf_rows))
-                )
-
-        deepdb.evaluator = Recorder()
-        deepdb.apply_update_batch(
-            [("insert", "customer", {"region": "EU", "age": 50.0})] * 8
-        )
-        touched = [r for r in deepdb.ensemble.rspns
-                   if "customer" in r.tables]
-        assert len(Recorder.calls) == len(touched)
-        for root, from_generation, to_generation, sum_rows, leaf_rows in \
-                Recorder.calls:
-            assert to_generation == from_generation + 1
-            assert leaf_rows  # inserts touch at least one leaf
 
 
 # ----------------------------------------------------------------------

@@ -1,38 +1,34 @@
-"""Differential property suite for the fused sweep kernels.
+"""Differential property suite for the fused sweep.
 
-The kernel knob of :mod:`repro.core.kernels` promises that every
-execution kernel -- ``legacy`` (full-matrix sweep), ``numpy`` (fused
-arena sweep) and ``numba`` (tape-interpreter lowering, exercised here
-through its pure-Python twins on hosts without numba) -- returns
-**bit-identical** answers, ``==`` not ``allclose``.  This suite turns
-that promise into properties:
+The fused arena sweep of :mod:`repro.core.compiled` is the only
+production kernel; the ``legacy`` full-matrix sweep (reached through
+``kernels.use("legacy")``) is kept as its reference oracle.  The two
+must return **bit-identical** answers, ``==`` not ``allclose``.  This
+suite turns that promise into properties:
 
-- random SPNs x random specs, both leaf types, across all kernels;
+- random SPNs x random specs, both leaf types;
+- batches of one, uneven batch sizes and empty selections pinned to
+  exactly ``0.0``;
 - uneven chunk boundaries (``_CHUNK_BUDGET`` swept down so batches
   split into ragged chunks over a reused arena lease);
 - GROUP BY fan-out through the full query compiler;
-- 1/2/4-worker sharded evaluation over the shared-memory transport,
-  including the shipped plan-signature handshake (a signature mismatch
-  would force a serial fallback, which the tests assert never happens);
+- the fused plan surviving the store's tree export/import;
 - the arena lease/pool contract (one allocation per evaluator, reused
   across chunks and batches);
 - the transform dedup key (well-known singletons share a slot across
   distinct list objects; a label thief never steals a singleton's
   slot);
-- the crossover auto-tuner (serial-only on one CPU, the measured
-  crossover formula and its clamps, static mode, failure degradation).
+- the surface the end-to-end benchmark relies on (``kernel="auto"``,
+  ``kernels.describe()``, ``kernel_stats()``, the ``serve`` flags).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.core import autotune
 from repro.core import compiled as compiled_mod
-from repro.core import kernels
+from repro.core import kernels, specpack
 from repro.core.compiled import (
     compiled_for,
     export_tree_arrays,
@@ -44,24 +40,18 @@ from repro.core.leaves import (
     IDENTITY,
     INVERSE_FACTOR,
     SQUARE,
+    BinnedLeaf,
     DiscreteLeaf,
     DiscreteScopeTable,
     Transform,
     transform_dedup_key,
     well_known_label,
 )
-from repro.core.nodes import LeafNode
+from repro.core.nodes import LeafNode, iter_nodes
 from repro.core.ranges import Interval, Range
-from repro.core.sharding import ShardedEvaluator, shm_available
 from repro.deepdb import DeepDB
 from tests.conftest import build_customer_orders
 from tests.test_nodes_inference import _random_spec, _random_spn
-
-_MP_CONTEXT = os.environ.get("REPRO_TEST_MP_CONTEXT", "fork")
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="named shared memory unavailable"
-)
 
 
 def _workload(seed, n_specs=64):
@@ -72,25 +62,23 @@ def _workload(seed, n_specs=64):
     return spn, specs
 
 
-def _kernel_results(spn, specs):
-    """``{kernel: values}`` for every executable kernel.
+def _spn_with_both_leaf_kinds(rng, scope):
+    """A random SPN holding at least one DiscreteLeaf and one BinnedLeaf."""
+    while True:
+        spn = _random_spn(rng, scope, depth=2)
+        kinds = {
+            type(node) for node in iter_nodes(spn)
+            if isinstance(node, (DiscreteLeaf, BinnedLeaf))
+        }
+        if kinds == {DiscreteLeaf, BinnedLeaf}:
+            return spn
 
-    The numba path runs through its pure-Python twins when numba is
-    absent -- the exact loops numba would compile -- and additionally
-    through the jitted kernels when it is installed.
-    """
-    results = {}
+
+def _kernel_results(spn, specs):
+    """``{kernel: values}``: the legacy oracle and the fused sweep."""
     with kernels.use("legacy"):
-        results["legacy"] = evaluate_batch(spn, specs)
-    with kernels.use("numpy"):
-        results["numpy"] = evaluate_batch(spn, specs)
-    with kernels.python_twins(), kernels.use("numba"):
-        assert kernels.resolve() == "numba"
-        results["numba-twin"] = evaluate_batch(spn, specs)
-    if kernels.HAVE_NUMBA:
-        with kernels.use("numba"):
-            results["numba-jit"] = evaluate_batch(spn, specs)
-    return results
+        legacy = evaluate_batch(spn, specs)
+    return {"legacy": legacy, "numpy": evaluate_batch(spn, specs)}
 
 
 def _assert_all_equal(results):
@@ -102,6 +90,19 @@ def _assert_all_equal(results):
         )
 
 
+def _requests(rspn, n):
+    """``n`` distinct expectation requests over one RSPN, mixing range
+    widths, transforms and an unconstrained entry."""
+    numeric = next(name for name in rspn.column_names if name.endswith("age"))
+    requests = [(None, None)]
+    for i in range(n - 1):
+        low = 15 + (i * 3) % 40
+        conditions = {numeric: Range.from_operator(">", float(low))}
+        transforms = {numeric: [IDENTITY]} if i % 3 == 0 else None
+        requests.append((conditions, transforms))
+    return requests[:n]
+
+
 @pytest.fixture(scope="module")
 def small_model():
     database = build_customer_orders(n_customers=500, seed=3)
@@ -109,11 +110,23 @@ def small_model():
 
 
 class TestKernelDifferential:
-    """fused == legacy == numba, bit for bit."""
+    """fused == legacy, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_spns_random_specs(self, seed):
         spn, specs = _workload(seed)
+        _assert_all_equal(_kernel_results(spn, specs))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_spns_with_binned_leaves(self, seed):
+        """Trees guaranteed to mix discrete and binned leaves: binned
+        leaves are where batch-composition invariance is easiest to
+        lose (see the row-wise reduction note in
+        ``BinnedLeaf.evaluate_batch``)."""
+        rng = np.random.default_rng(400 + seed)
+        scope = tuple(range(3))
+        spn = _spn_with_both_leaf_kinds(rng, scope)
+        specs = [_random_spec(rng, scope) for _ in range(31)]
         _assert_all_equal(_kernel_results(spn, specs))
 
     @pytest.mark.parametrize("budget", [1, 200, 5_000])
@@ -133,17 +146,45 @@ class TestKernelDifferential:
     def test_batch_composition_invariance_fused(self):
         """Splitting one batch into sub-batches changes nothing."""
         spn, specs = _workload(5, n_specs=40)
-        with kernels.use("numpy"):
-            whole = evaluate_batch(spn, specs)
-            parts = np.concatenate(
-                [evaluate_batch(spn, specs[i:i + 7])
-                 for i in range(0, len(specs), 7)]
-            )
+        whole = evaluate_batch(spn, specs)
+        parts = np.concatenate(
+            [evaluate_batch(spn, specs[i:i + 7])
+             for i in range(0, len(specs), 7)]
+        )
         assert (whole == parts).all()
+
+    def test_uneven_batches(self, small_model):
+        """A batch of one and uneven batch sizes on a learned RSPN: the
+        fused sweep ``==`` the oracle, and every request ``==`` its
+        answer inside the largest batch."""
+        rspn = max(small_model.ensemble.rspns, key=lambda r: len(r.column_names))
+        full = rspn.expectation_batch(_requests(rspn, 23))
+        for size in (1, 3, 5, 7, 10, 23):
+            requests = _requests(rspn, size)
+            fused = rspn.expectation_batch(requests)
+            with kernels.use("legacy"):
+                reference = rspn.expectation_batch(requests)
+            assert list(fused) == list(reference), f"batch of {size}"
+            assert list(fused) == list(full[:size]), f"batch of {size}"
+
+    def test_empty_selection_pinned_zero(self, small_model):
+        rspn = small_model.ensemble.rspns[0]
+        column = rspn.column_names[0]
+        requests = _requests(rspn, 8)
+        empty_slots = (0, 3, 7)
+        for slot in empty_slots:
+            requests[slot] = ({column: Range.nothing()}, None)
+        fused = rspn.expectation_batch(requests)
+        with kernels.use("legacy"):
+            reference = rspn.expectation_batch(requests)
+        for slot in empty_slots:
+            assert fused[slot] == 0.0
+        assert list(fused) == list(reference)
 
     def test_group_by_fanout(self, small_model):
         """GROUP BY queries fan one query out into one spec per group;
-        every kernel must agree on every group's value, bitwise."""
+        the fused sweep must agree with the oracle on every group's
+        value, bitwise."""
         queries = [
             "SELECT COUNT(*) FROM customer GROUP BY customer.region",
             "SELECT AVG(customer.age) FROM customer "
@@ -153,18 +194,16 @@ class TestKernelDifferential:
         ]
         with kernels.use("legacy"):
             reference = small_model.approximate_batch(queries)
-        for name in ("numpy", "numba"):
-            with kernels.python_twins(), kernels.use(name):
-                answers = small_model.approximate_batch(queries)
-            assert len(answers) == len(reference)
-            for got, want in zip(answers, reference):
-                assert isinstance(got, dict) == isinstance(want, dict)
-                if isinstance(want, dict):
-                    assert set(got) == set(want)
-                    for key in want:
-                        assert got[key] == want[key]
-                else:
-                    assert got == want
+        answers = small_model.approximate_batch(queries)
+        assert len(answers) == len(reference)
+        for got, want in zip(answers, reference):
+            assert isinstance(got, dict) == isinstance(want, dict)
+            if isinstance(want, dict):
+                assert set(got) == set(want)
+                for key in want:
+                    assert got[key] == want[key]
+            else:
+                assert got == want
 
 
 def _learned_specs(rspn, rng, n):
@@ -230,8 +269,7 @@ class TestFusedFillOnLearnedModels:
             specs = _learned_specs(rspn, rng, n_specs)
             with kernels.use("legacy"):
                 reference = rspn.evaluate_specs(specs)
-            with kernels.use("numpy"):
-                fused = rspn.evaluate_specs(specs)
+            fused = rspn.evaluate_specs(specs)
             assert (fused == reference).all()
             assert compiled_for(rspn.root).kernel_stats()["scope_tables"] >= 1
 
@@ -243,9 +281,8 @@ class TestFusedFillOnLearnedModels:
             rng = np.random.default_rng(17)
             for live, rspn in zip(learned.ensemble.rspns, mapped.ensemble.rspns):
                 specs = _learned_specs(live, rng, 40)
-                with kernels.use("numpy"):
-                    fused = rspn.evaluate_specs(specs)
-                    assert not rspn.materialized  # served from the mapping
+                fused = rspn.evaluate_specs(specs)
+                assert not rspn.materialized  # served from the mapping
                 assert rspn.compiled_peek().kernel_stats()["scope_tables"] >= 1
                 with kernels.use("legacy"):
                     reference = live.evaluate_specs(specs)
@@ -273,8 +310,31 @@ class TestFusedFillOnLearnedModels:
             mapped.close()
 
 
+class TestFusedFillErrors:
+    def test_leaf_type_error_propagates_after_one_call(self, monkeypatch):
+        """A ``TypeError`` raised inside a binned leaf's kernel is a
+        bug, not a signal to retry without ``prepared``: it must reach
+        the caller after exactly one call."""
+        rng = np.random.default_rng(402)
+        scope = tuple(range(3))
+        spn = _spn_with_both_leaf_kinds(rng, scope)
+        binned = next(n for n in iter_nodes(spn) if isinstance(n, BinnedLeaf))
+        spec = EvaluationSpec()
+        spec.condition(binned.scope_index, Range.from_operator(">", 0.0))
+        calls = []
+
+        def broken(self, ranges, transforms, prepared=None):
+            calls.append(prepared)
+            raise TypeError("broken binned kernel")
+
+        monkeypatch.setattr(BinnedLeaf, "evaluate_batch", broken)
+        with pytest.raises(TypeError, match="broken binned kernel"):
+            evaluate_batch(spn, [spec])
+        assert len(calls) == 1
+
+
 class TestPlanTransport:
-    """The fused plan survives export/import and the sharded transport."""
+    """The fused plan survives the store's tree export/import."""
 
     def test_plan_signature_round_trip(self):
         spn, _ = _workload(11)
@@ -292,29 +352,21 @@ class TestPlanTransport:
             != compiled_for(b).plan_signature()
         )
 
-    @needs_shm
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sharded_shm_bit_identity(self, workers):
-        """Serial == sharded through the shm transport, all worker
-        counts, with zero serial fallbacks -- which also proves the
-        shipped plan signature matched the workers' recompiled plans."""
-        spn, specs = _workload(21, n_specs=96)
-        compiled = compiled_for(spn)
-        with kernels.use("numpy"):
-            serial = compiled.evaluate_batch(specs)
-        evaluator = ShardedEvaluator(
-            n_workers=workers, min_shard_size=1, mp_context=_MP_CONTEXT,
-            transport="shm",
+    @pytest.mark.parametrize("seed", range(4))
+    def test_imported_twin_evaluates_bit_identically(self, seed):
+        """A tree round-tripped through the flat-array export and the
+        blob codec (both leaf types) answers ``==`` the original."""
+        rng = np.random.default_rng(950 + seed)
+        scope = tuple(range(3))
+        spn = _spn_with_both_leaf_kinds(rng, scope)
+        specs = [_random_spec(rng, scope) for _ in range(21)]
+        expected = evaluate_batch(spn, specs)
+        meta, arrays = export_tree_arrays(spn)
+        twin = import_tree_arrays(
+            *specpack.read_blob(specpack.blob_bytes(meta, arrays))
         )
-        try:
-            with kernels.use("numpy"):
-                sharded = evaluator.evaluate_batch(compiled, specs)
-            stats = evaluator.stats()
-            assert stats["serial_fallbacks"] == 0
-            assert stats["sharded_batches"] == 1
-        finally:
-            evaluator.close()
-        assert (sharded == serial).all()
+        actual = compiled_mod.CompiledRSPN(twin).evaluate_batch(specs)
+        assert list(actual) == list(expected)
 
 
 class TestArenaReuse:
@@ -333,8 +385,7 @@ class TestArenaReuse:
         # Force ~8 chunks; the lease must still be taken exactly once.
         monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", rows * 16)
         assert compiled.arena_allocations == 0
-        with kernels.use("numpy"):
-            compiled.evaluate_batch(specs)
+        compiled.evaluate_batch(specs)
         assert compiled.sweep_count >= 8
         assert compiled.arena_allocations == 1
 
@@ -342,9 +393,8 @@ class TestArenaReuse:
         compiled, specs = self._fresh_compiled(seed=32)
         rows = compiled.plan.arena_rows + compiled.plan.stage_rows
         monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", rows * 16)
-        with kernels.use("numpy"):
-            for _ in range(5):
-                compiled.evaluate_batch(specs)
+        for _ in range(5):
+            compiled.evaluate_batch(specs)
         # Same width every batch -> the pooled buffers are reused and
         # steady-state evaluation stops allocating.
         assert compiled.arena_allocations == 1
@@ -362,7 +412,7 @@ class TestArenaReuse:
         small_model.cardinality("SELECT COUNT(*) FROM customer "
                                 "WHERE customer.age > 20")
         stats = small_model.kernel_stats()
-        assert stats["active"] in ("numpy", "numba", "legacy")
+        assert stats["active"] == "numpy"
         assert stats["sweeps"] >= 1
         assert stats["sweep_queries"] >= 1
         assert stats["sweep_ns_per_query"] > 0
@@ -406,8 +456,7 @@ class TestTransformDedupKey:
             spec = EvaluationSpec()
             spec.transform(0, IDENTITY)  # fresh list per spec
             specs.append(spec)
-        with kernels.use("numpy"):
-            evaluate_batch(spn, specs)
+        evaluate_batch(spn, specs)
         assert seen and seen[-1] == 1
 
     def test_thief_never_conflated_with_singleton(self):
@@ -419,167 +468,75 @@ class TestTransformDedupKey:
         spec_real, spec_thief = EvaluationSpec(), EvaluationSpec()
         spec_real.transform(0, IDENTITY)
         spec_thief.transform(0, thief)
-        results = {}
-        for name in ("legacy", "numpy"):
-            with kernels.use(name):
-                results[name] = evaluate_batch(spn, [spec_real, spec_thief])
+        results = _kernel_results(spn, [spec_real, spec_thief])
         expected_mean = (1.0 + 2.0 + 2.0 * 3.0) / 4.0
         for values in results.values():
             assert values[0] == pytest.approx(expected_mean)
             assert values[1] == pytest.approx(7.0)
 
 
+class TestSilentFallback:
+    """``None``/``"auto"`` resolve to the fused sweep without a word;
+    every other kernel name is refused."""
+
+    def test_describe_reports_request_and_resolution(self):
+        assert kernels.describe()["requested"] == "auto"
+        assert kernels.describe()["active"] == "numpy"
+        with kernels.use("legacy"):
+            info = kernels.describe()
+        assert info["requested"] == "legacy"
+        assert info["active"] == "legacy"
+        assert info["numba_available"] is False
+        assert kernels.describe()["active"] == "numpy"
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.check("bogus")
+        with pytest.raises(ValueError):
+            with kernels.use("bogus"):
+                pass
+        assert kernels.resolve() == "numpy"
+
+    def test_none_is_a_noop(self):
+        before = kernels.describe()
+        kernels.check(None)
+        kernels.check("auto")
+        assert kernels.describe() == before
+
+
+def _scalar_fold(a):
+    """Scalar reference for :func:`kernels.ordered_rowsum`: the same
+    halving fold, one element at a time (consumes ``a``)."""
+    n_rows, m = a.shape
+    out = np.zeros(n_rows, dtype=np.float64)
+    if m == 0:
+        return out
+    for r in range(n_rows):
+        mm = m
+        while mm > 1:
+            h = (mm + 1) // 2
+            for j in range(mm - h):
+                a[r, j] = a[r, j] + a[r, j + h]
+            mm = h
+        out[r] = a[r, 0]
+    return out
+
+
 class TestKernelTwins:
-    """The pure-Python twins match their NumPy counterparts exactly."""
+    """The vectorised fold matches its scalar reference exactly."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 16, 33])
     def test_ordered_rowsum_matches_scalar_twin(self, m):
         rng = np.random.default_rng(m)
         matrix = rng.uniform(-10, 10, size=(5, m))
         vectorised = kernels.ordered_rowsum(matrix.copy())
-        scalar = kernels.rowsum_fold_py(matrix.copy())
+        scalar = _scalar_fold(matrix.copy())
         assert (vectorised == scalar).all()
         np.testing.assert_allclose(vectorised, matrix.sum(axis=1), rtol=1e-12)
 
-    def test_jitted_twins_match_python_twins(self):
-        """On hosts with numba, jit(f) and f must agree bitwise; without
-        numba they are the same function by construction."""
-        rng = np.random.default_rng(9)
-        matrix = rng.uniform(0, 5, size=(4, 11))
-        assert (
-            kernels.rowsum_fold(matrix.copy())
-            == kernels.rowsum_fold_py(matrix.copy())
-        ).all()
-
-
-class TestSilentFallback:
-    """Satellite: kernel=numba without numba degrades silently."""
-
-    def test_numba_resolves_without_numba(self):
-        with kernels.use("numba"):
-            active = kernels.resolve()
-        if kernels.HAVE_NUMBA:
-            assert active == "numba"
-        else:
-            assert active == "numpy"
-
-    def test_describe_reports_request_and_resolution(self):
-        with kernels.use("numba"):
-            info = kernels.describe()
-        assert info["requested"] == "numba"
-        assert info["numba_available"] == kernels.HAVE_NUMBA
-        if not kernels.HAVE_NUMBA:
-            assert info["active"] == "numpy"
-
-    def test_numba_request_still_answers_correctly(self):
-        spn, specs = _workload(41, n_specs=20)
-        with kernels.use("numpy"):
-            reference = evaluate_batch(spn, specs)
-        with kernels.use("numba"):  # resolves to numpy when numba absent
-            values = evaluate_batch(spn, specs)
-        assert (values == reference).all()
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_kernel("bogus")
-
-    def test_none_is_a_noop(self):
-        before = kernels.get_kernel()
-        kernels.set_kernel(None)
-        assert kernels.get_kernel() == before
-
-
-class TestAutotune:
-    """Satellite: per-host crossover calibration."""
-
-    def test_one_cpu_is_serial_only(self, monkeypatch):
-        monkeypatch.setattr(autotune, "usable_cpus", lambda: 1)
-        evaluator = ShardedEvaluator(n_workers=4, mp_context=_MP_CONTEXT)
-        try:
-            assert evaluator.autotune.mode == "serial-only"
-            assert evaluator.min_shard_size == autotune.SERIAL_ONLY
-            assert not evaluator.should_shard(10**9)
-            stats = evaluator.stats()
-            assert stats["pool_alive"] is False  # never even started
-            assert stats["autotune"]["mode"] == "serial-only"
-        finally:
-            evaluator.close()
-
-    def test_crossover_formula(self, monkeypatch):
-        monkeypatch.setattr(autotune, "usable_cpus", lambda: 8)
-        monkeypatch.setattr(autotune, "_serial_ns_per_spec", lambda: 1000.0)
-        monkeypatch.setattr(
-            autotune, "_dispatch_overhead_ns", lambda evaluator: 600_000.0
-        )
-        evaluator = ShardedEvaluator(n_workers=4, mp_context=_MP_CONTEXT)
-        try:
-            result = evaluator.autotune
-            assert result.mode == "calibrated"
-            # saved/spec = 1000 * (1 - 1/4) = 750; 600_000 / 750 = 800.
-            assert result.min_shard_size == 800
-            assert evaluator.min_shard_size == 800
-            assert evaluator.should_shard(800)
-            assert not evaluator.should_shard(799)
-        finally:
-            evaluator.close()
-
-    @pytest.mark.parametrize(
-        "overhead,expected", [(1.0, 16), (10**12, 8192)]
-    )
-    def test_crossover_clamps(self, monkeypatch, overhead, expected):
-        monkeypatch.setattr(autotune, "usable_cpus", lambda: 8)
-        monkeypatch.setattr(autotune, "_serial_ns_per_spec", lambda: 1000.0)
-        monkeypatch.setattr(
-            autotune, "_dispatch_overhead_ns", lambda evaluator: overhead
-        )
-        evaluator = ShardedEvaluator(n_workers=4, mp_context=_MP_CONTEXT)
-        try:
-            assert evaluator.min_shard_size == expected
-        finally:
-            evaluator.close()
-
-    def test_explicit_threshold_is_static(self):
-        evaluator = ShardedEvaluator(
-            n_workers=2, min_shard_size=7, mp_context=_MP_CONTEXT
-        )
-        try:
-            assert evaluator.autotune.mode == "static"
-            assert evaluator.min_shard_size == 7
-            assert evaluator.stats()["autotune"]["min_shard_size"] == 7
-        finally:
-            evaluator.close()
-
-    def test_calibration_failure_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(autotune, "usable_cpus", lambda: 8)
-
-        def boom():
-            raise RuntimeError("measurement failed")
-
-        monkeypatch.setattr(autotune, "_serial_ns_per_spec", boom)
-        evaluator = ShardedEvaluator(n_workers=4, mp_context=_MP_CONTEXT)
-        try:
-            assert evaluator.autotune.mode == "serial-only"
-            assert evaluator.min_shard_size == autotune.SERIAL_ONLY
-        finally:
-            evaluator.close()
-
-    def test_calibration_runs_on_this_host(self):
-        """Whatever this host is, calibrate() must return a sane record
-        (on the 1-CPU CI container: serial-only, no pool)."""
-        evaluator = ShardedEvaluator(n_workers=2, mp_context=_MP_CONTEXT)
-        try:
-            result = evaluator.autotune
-            assert result.mode in ("serial-only", "calibrated")
-            assert result.min_shard_size >= 1
-            if autotune.usable_cpus() <= 1:
-                assert result.mode == "serial-only"
-                assert not evaluator.stats()["pool_alive"]
-        finally:
-            evaluator.close()
-
 
 class TestServingStats:
-    """/stats carries the kernel + autotune telemetry."""
+    """/stats carries the kernel telemetry."""
 
     def test_snapshot_includes_kernel_stats(self, small_model):
         from repro.serving.session import ModelSession
@@ -588,5 +545,42 @@ class TestServingStats:
         small_model.cardinality("SELECT COUNT(*) FROM customer")
         snap = session.snapshot()
         assert "kernel" in snap
-        assert snap["kernel"]["active"] in ("numpy", "numba", "legacy")
+        assert snap["kernel"]["active"] == "numpy"
         assert snap["kernel"]["sweeps"] >= 1
+
+
+def test_benchmark_surface_contract(small_model, tmp_path, capsys):
+    """What ``benchmarks/e2e`` calls keeps working: ``kernel="auto"``
+    serves, other kernel names are refused, ``kernels.describe()`` and
+    ``kernel_stats()`` keep their keys, and ``serve`` lists none of the
+    removed flags."""
+    from repro.cli import main
+    from repro.serving import ModelRegistry, Request
+
+    path = tmp_path / "model.rspn"
+    small_model.save(path)
+    sql = "SELECT COUNT(*) FROM customer WHERE customer.age > 30"
+    registry = ModelRegistry()
+    try:
+        registry.register_store("m", path, small_model.database, kernel="auto")
+        served = registry.session("m").run_one(Request("cardinality", sql))
+        assert served == small_model.cardinality(sql)
+    finally:
+        registry.close()
+
+    for kernel in ("numba", "numpy", "legacy"):
+        with pytest.raises(ValueError):
+            DeepDB.load(path, small_model.database, kernel=kernel)
+    assert kernels.describe() == {
+        "requested": "auto", "active": "numpy", "numba_available": False,
+    }
+    stats = small_model.kernel_stats()
+    assert stats["sweep_queries"] >= 1
+    assert stats["sweep_ns_total"] > 0
+
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    usage = capsys.readouterr().out
+    assert "--model" in usage
+    for flag in ("--shards", "--transport", "--kernel"):
+        assert flag not in usage

@@ -5,8 +5,6 @@ example: an SPN over (region, age) with a 0.3/0.7 sum node, from which
 the paper derives P = 5% for young European customers and E(age | EU).
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -313,9 +311,7 @@ class TestCompiledAgainstWalk:
         """A batch straddling the ``_CHUNK_BUDGET`` split must agree
         **bit-for-bit** with the single-sweep evaluation: per-query
         columns of the values matrix are independent, so where the
-        chunk boundary falls cannot matter.  (This is the same
-        batch-composition invariance the process-sharding of
-        ``repro.core.sharding`` relies on.)"""
+        chunk boundary falls cannot matter."""
         from repro.core import compiled as compiled_mod
 
         rng = np.random.default_rng(700 + seed)
@@ -330,20 +326,15 @@ class TestCompiledAgainstWalk:
         assert list(chunked) == list(unchunked)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_chunk_boundaries_through_shm_slicing(self, seed, monkeypatch):
-        """The PR-4 invariant under the shared-memory transport: specs
-        round-tripped through the columnar pack and sliced at worker
-        boundaries, evaluated chunked on a tree imported from exported
-        flat arrays, must equal the single in-process sweep **bit for
-        bit** -- for both leaf types.  BinnedLeaf is the kernel where
+    def test_chunk_boundaries_fused_equals_legacy(self, seed, monkeypatch):
+        """Across ``_CHUNK_BUDGET`` chunk boundaries the fused sweep
+        must equal the legacy reference sweep **bit for bit** -- for
+        both leaf types, including uneven sub-batches (a 1-spec sliver)
+        each chunked again internally.  BinnedLeaf is the kernel where
         batch-composition invariance is easiest to lose (its batch
-        kernel must stay a row-wise reduction, never a BLAS matvec),
-        and this pins that neither shm slicing nor the zero-copy tree
-        views reintroduce composition dependence."""
-        from multiprocessing import shared_memory
-
+        kernel must stay a row-wise reduction, never a BLAS matvec)."""
         from repro.core import compiled as compiled_mod
-        from repro.core import specpack
+        from repro.core import kernels
 
         rng = np.random.default_rng(800 + seed)
         scope = tuple(range(3))
@@ -358,39 +349,14 @@ class TestCompiledAgainstWalk:
             if kinds == {"DiscreteLeaf", "BinnedLeaf"}:
                 break
         specs = [_random_spec(rng, scope) for _ in range(40)]
-        unchunked = evaluate_batch(spn, specs)
-
-        spec_meta, spec_arrays = specpack.pack_specs(specs)
-        tree_meta, tree_arrays = compiled_mod.export_tree_arrays(spn)
-        header, base, total = specpack.blob_layout(spec_meta, spec_arrays)
-        t_header, t_base, t_total = specpack.blob_layout(tree_meta, tree_arrays)
-        spec_seg = shared_memory.SharedMemory(
-            create=True, size=total, name=f"repro-chunk-s{seed}-{os.getpid()}"
-        )
-        tree_seg = shared_memory.SharedMemory(
-            create=True, size=t_total, name=f"repro-chunk-t{seed}-{os.getpid()}"
-        )
-        try:
-            specpack.write_blob(spec_seg.buf, header, base, spec_arrays)
-            specpack.write_blob(tree_seg.buf, t_header, t_base, tree_arrays)
-            twin = compiled_mod.import_tree_arrays(
-                *specpack.read_blob(tree_seg.buf)
-            )
-            compiled = compiled_mod.CompiledRSPN(twin)
-            monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", 1)
-            # Uneven worker-style slices (incl. a 1-spec sliver), each
-            # chunked again internally by the budget above.
-            parts = []
-            for lo, hi in ((0, 1), (1, 17), (17, 40)):
-                part = specpack.unpack_slice(spec_seg.buf, lo, hi)
-                parts.extend(compiled.evaluate_batch(part))
-            assert parts == list(unchunked)
-        finally:
-            spec_seg.close()  # raises BufferError if unpack leaked views
-            spec_seg.unlink()
-            del compiled, twin  # drop the zero-copy tree views first
-            tree_seg.close()
-            tree_seg.unlink()
+        with kernels.use("legacy"):
+            reference = evaluate_batch(spn, specs)
+        monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", 1)
+        parts = []
+        for lo, hi in ((0, 1), (1, 17), (17, 40)):
+            parts.extend(evaluate_batch(spn, specs[lo:hi]))
+        assert parts == list(reference)
+        assert list(evaluate_batch(spn, specs)) == list(reference)
 
 
 class TestSumWeightCache:

@@ -1,162 +1,21 @@
-"""Property tests for the columnar spec packer and segment blob codec.
-
-The shared-memory transport is only safe if ``pack -> unpack`` is the
-identity on every spec the query compiler can produce -- range
-conditions of all shapes (points, half-open intervals, ±inf bounds,
-NULL-only, empty selections), well-known transforms (including composed
-ones on a single attribute) -- and if ad-hoc transforms are *rejected*
-loudly rather than silently re-interpreted on the worker side.  These
-tests pin both halves, plus the zero-copy properties of the codec: tree
-imports alias the source buffer, spec unpacks hold no references into
-it.
-"""
+"""The blob codec the model store persists trees with: tree imports
+alias the source buffer (zero copies, read-only views)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import compiled as compiled_mod
 from repro.core import specpack
-from repro.core.inference import EvaluationSpec, evaluate_batch
-from repro.core.leaves import (
-    IDENTITY,
-    INVERSE_FACTOR,
-    SQUARE,
-    Transform,
-    well_known_label,
-)
-from repro.core.ranges import Interval, Range
-from tests.test_nodes_inference import _random_spec, _random_spn
-
-
-def _plus_one(values):
-    return values + 1.0
-
-
-# Picklable (module-level fn) but NOT a well-known singleton: the shm
-# transport must refuse to pack it and fall back to pickle.
-AD_HOC_PICKLABLE = Transform(_plus_one, 0.0, "x+1")
-# Reuses a well-known label without being the singleton: packing by
-# label would silently swap in IDENTITY's semantics on the worker.
-AD_HOC_LABEL_THIEF = Transform(_plus_one, 0.0, "x")
-
-
-def _assert_specs_equal(actual, expected):
-    assert len(actual) == len(expected)
-    for a, b in zip(actual, expected):
-        assert a.ranges == b.ranges
-        assert set(a.transforms) == set(b.transforms)
-        for scope, transforms in b.transforms.items():
-            # Same transforms, resolved to the *same singletons* so
-            # worker-side identity-based dedup keeps working.
-            assert all(t is u for t, u in zip(a.transforms[scope], transforms))
-            assert len(a.transforms[scope]) == len(transforms)
-
-
-def _round_trip(specs, lo=0, hi=None):
-    meta, arrays = specpack.pack_specs(specs)
-    return specpack.unpack_slice(specpack.blob_bytes(meta, arrays), lo, hi)
-
-
-class TestSpecRoundTrip:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_specs_identity(self, seed):
-        rng = np.random.default_rng(900 + seed)
-        scope = tuple(range(int(rng.integers(1, 5))))
-        specs = [_random_spec(rng, scope) for _ in range(19)]
-        _assert_specs_equal(_round_trip(specs), specs)
-
-    @pytest.mark.parametrize("bounds", [(0, 0), (0, 1), (3, 11), (11, 19), (0, 19)])
-    def test_slice_unpack_matches_full(self, bounds):
-        rng = np.random.default_rng(77)
-        specs = [_random_spec(rng, (0, 1, 2)) for _ in range(19)]
-        lo, hi = bounds
-        _assert_specs_equal(_round_trip(specs, lo, hi), specs[lo:hi])
-
-    def test_out_of_bounds_slice_raises(self):
-        specs = [EvaluationSpec()]
-        meta, arrays = specpack.pack_specs(specs)
-        blob = specpack.blob_bytes(meta, arrays)
-        with pytest.raises(IndexError):
-            specpack.unpack_slice(blob, 0, 2)
-
-    def test_edge_specs_identity(self):
-        """The corners: empty batch, untouched spec, empty selection,
-        NULL-only, unbounded intervals, exclusive bounds, multi-interval
-        unions, composed transforms on one attribute."""
-        assert _round_trip([]) == []
-        untouched = EvaluationSpec()
-        empty_sel = EvaluationSpec()
-        empty_sel.condition(0, Range.nothing())
-        null_only = EvaluationSpec()
-        null_only.condition(1, Range.null_only())
-        unbounded = EvaluationSpec()
-        unbounded.condition(0, Range.everything(include_null=True))
-        unbounded.condition(2, Range.from_operator(">=", -1.5))
-        exclusive = EvaluationSpec()
-        exclusive.condition(0, Range((Interval(0.0, 7.0, False, False),)))
-        union = EvaluationSpec()
-        union.condition(1, Range.from_operator("<>", 3.0))
-        union.condition(1, Range.from_operator("IN", [1.0, 2.0, 5.0]))
-        composed = EvaluationSpec()
-        composed.transform(0, IDENTITY)
-        composed.transform(0, SQUARE)
-        composed.transform(2, INVERSE_FACTOR)
-        composed.condition(2, Range.point(4.0))
-        specs = [untouched, empty_sel, null_only, unbounded, exclusive,
-                 union, composed]
-        back = _round_trip(specs)
-        _assert_specs_equal(back, specs)
-        assert back[1].is_empty_selection()
-        assert back[3].ranges[0].is_unconstrained()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_evaluation_after_round_trip_bit_identical(self, seed):
-        """Packed specs are not merely equal -- they evaluate to the
-        exact same floats, on a tree that itself round-tripped through
-        the flat-array export (both leaf types included)."""
-        rng = np.random.default_rng(950 + seed)
-        scope = tuple(range(3))
-        spn = _random_spn(rng, scope, depth=2)
-        specs = [_random_spec(rng, scope) for _ in range(21)]
-        expected = evaluate_batch(spn, specs)
-        meta, arrays = compiled_mod.export_tree_arrays(spn)
-        twin = compiled_mod.import_tree_arrays(
-            *specpack.read_blob(specpack.blob_bytes(meta, arrays))
-        )
-        actual = compiled_mod.CompiledRSPN(twin).evaluate_batch(
-            _round_trip(specs)
-        )
-        assert list(actual) == list(expected)
-
-
-class TestAdHocTransforms:
-    def test_ad_hoc_transform_refused(self):
-        spec = EvaluationSpec()
-        spec.transform(0, AD_HOC_PICKLABLE)
-        with pytest.raises(specpack.SpecPackError, match="ad-hoc transform"):
-            specpack.pack_specs([spec])
-
-    def test_label_thief_refused(self):
-        """An ad-hoc transform reusing a well-known label must not pack:
-        by-label resolution would silently swap in the singleton's
-        semantics worker-side."""
-        assert well_known_label(AD_HOC_LABEL_THIEF) is None
-        spec = EvaluationSpec()
-        spec.transform(0, AD_HOC_LABEL_THIEF)
-        with pytest.raises(specpack.SpecPackError):
-            specpack.pack_specs([spec])
-
-    def test_non_spec_object_refused(self):
-        with pytest.raises(specpack.SpecPackError, match="EvaluationSpec"):
-            specpack.pack_specs([object()])
+from repro.core.nodes import iter_nodes
+from tests.test_nodes_inference import _random_spn
 
 
 class TestBlobCodec:
     def test_tree_import_is_zero_copy(self):
         """Imported leaf histograms alias the source buffer (read-only
-        views), which is the whole point of the shared tree segment."""
+        views), which is what lets a mapped store answer without
+        copying histograms."""
         rng = np.random.default_rng(5)
         spn = _random_spn(rng, (0, 1), depth=1)
         meta, arrays = compiled_mod.export_tree_arrays(spn)
@@ -165,43 +24,10 @@ class TestBlobCodec:
         twin = compiled_mod.import_tree_arrays(read_meta, read_arrays)
         leaf_data = read_arrays["leaf_data"]
         leaves = [
-            node for node in _iter_nodes(twin) if hasattr(node, "null_count")
+            node for node in iter_nodes(twin) if hasattr(node, "null_count")
         ]
         assert leaves
         for leaf in leaves:
             payload = leaf.values if hasattr(leaf, "values") else leaf.edges
             assert np.shares_memory(payload, leaf_data)
             assert not payload.flags.writeable
-
-    def test_spec_unpack_releases_buffer(self):
-        """``unpack_slice`` must leave no views behind: the worker
-        closes its spec segment immediately after unpacking, and a
-        surviving export would make ``mmap.close`` raise BufferError."""
-        from multiprocessing import shared_memory
-
-        rng = np.random.default_rng(6)
-        specs = [_random_spec(rng, (0, 1, 2)) for _ in range(11)]
-        meta, arrays = specpack.pack_specs(specs)
-        header, base, total = specpack.blob_layout(meta, arrays)
-        segment = shared_memory.SharedMemory(
-            create=True, size=total, name=f"repro-test-{id(specs):x}"
-        )
-        try:
-            specpack.write_blob(segment.buf, header, base, arrays)
-            back = specpack.unpack_slice(segment.buf, 2, 9)
-            _assert_specs_equal(back, specs[2:9])
-            segment.close()  # would raise BufferError if views survived
-        finally:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - the assertion above
-                pass
-            segment.unlink()
-
-
-def _iter_nodes(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(getattr(node, "children", ()))
