@@ -7,7 +7,10 @@ scalar path and the batched compiled path, and verifies that
 - the batched path is not slower than the scalar loop,
 - per-query latency stays in the milliseconds.
 
-It then smokes the consumer layers of the batched estimator protocol:
+It checks that GROUP BY, compiled once per stage and bound per group,
+answers ``==`` one full compilation per group (a two-column AVG and a
+HAVING query), then smokes the consumer layers of the batched
+estimator protocol:
 
 - **serving**: 8 concurrent closed-loop clients through the in-process
   ``AsyncDeepDB`` facade must be coalesced into multi-request flushes
@@ -48,6 +51,7 @@ Run with ``PYTHONPATH=src python benchmarks/smoke_inference.py``.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 
@@ -57,7 +61,7 @@ from repro.core.compilation import ProbabilisticQueryCompiler
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
 from repro.core.rspn import RspnConfig
 from repro.datasets import flights
-from repro.engine.query import Predicate, count_query
+from repro.engine.query import Aggregate, Having, Predicate, Query, count_query
 
 _NUMERIC = ("distance", "dep_delay", "taxi_out", "air_time", "arr_delay")
 
@@ -118,6 +122,8 @@ def main():
 
     if _smoke_kernels(database, ensemble, queries, compiler, batched):
         return 1
+    if _smoke_group_by(compiler):
+        return 1
     if _smoke_serving(database, ensemble):
         return 1
     if _smoke_restart(database, ensemble):
@@ -153,6 +159,57 @@ def _smoke_kernels(database, ensemble, queries, compiler, reference):
         return 1
     print(f"OK: fused sweep bit-identical to the legacy oracle on "
           f"{len(queries)} queries ({time.perf_counter() - start:.1f}s)")
+    return 0
+
+
+def _per_group_answer(compiler, query):
+    """A GROUP BY answer from one full compilation per group and stage."""
+    scalar = query.without_group_by()
+    answer = {}
+    for combo in itertools.product(*compiler._group_domains(query)):
+        grouped = scalar.with_extra_predicates(tuple(
+            Predicate(table, column, "=", value)
+            for (table, column), value in zip(query.group_by, combo)
+        ))
+
+        def value(aggregate):
+            estimate = compiler._estimate(grouped.with_aggregate(aggregate))
+            compiler.evaluate_estimates([estimate])
+            return estimate.value
+
+        if value(Aggregate.count()) < compiler.min_group_count:
+            continue
+        if all(clause.accepts(value(clause.aggregate)) for clause in query.having):
+            answer[combo] = value(query.aggregate)
+    return answer
+
+
+def _smoke_group_by(compiler):
+    """GROUP BY smoke: the compiled-once template, bound per group,
+    answers ``==`` the per-group compilation it replaces."""
+    start = time.perf_counter()
+    f = "flights"
+    queries = [
+        Query((f,), aggregate=Aggregate.avg(f, "arr_delay"),
+              predicates=(Predicate(f, "distance", ">=", 800.0),),
+              group_by=((f, "origin"), (f, "day_of_week"))),
+        Query((f,), aggregate=Aggregate.sum(f, "dep_delay"),
+              predicates=(Predicate(f, "unique_carrier", "=", "CARRIER_00"),),
+              group_by=((f, "dest"),),
+              having=(Having(Aggregate.count(), ">", 95.0),
+                      Having(Aggregate.sum(f, "arr_delay"), "<", 1750.0))),
+    ]
+    groups = 0
+    for query in queries:
+        answer = compiler.answer(query)
+        if not answer or answer != _per_group_answer(compiler, query):
+            print(f"FAIL: GROUP BY answer differs from per-group "
+                  f"compilation: {query}")
+            return 1
+        groups += len(answer)
+    print(f"OK: {groups} groups of {len(queries)} GROUP BY queries "
+          f"(two-column AVG, HAVING) equal per-group compilation "
+          f"({time.perf_counter() - start:.1f}s)")
     return 0
 
 

@@ -20,9 +20,11 @@ expectations and probabilities over the RSPN ensemble:
   (measured during ensemble creation) is chosen greedily.
 
 AVG queries become ratios of conditional expectations normalised by
-tuple factors (Section 4.2); SUM = COUNT x AVG; GROUP BY expands into
-one query per group; outer joins relax the NULL indicators and treat
-zero factors as one.
+tuple factors (Section 4.2); SUM = COUNT x AVG; outer joins relax the
+NULL indicators and treat zero factors as one.  GROUP BY answers one
+query per group (Section 4.2), but compiles it once: a template with an
+unbound slot per group attribute, into which each group's value is
+bound (:class:`_GroupBinding`).
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from repro.core.leaves import (
     SQUARE,
 )
 from repro.core.ranges import Range
+from repro.engine.filters import conjunction_mask
 from repro.engine.join import factor_qualified_name, indicator_qualified_name
-from repro.engine.query import INNER, Predicate, Query
+from repro.engine.query import INNER, Aggregate, Predicate, Query
 from repro.estimator import CardinalityEstimator
 
 _FACTOR_TRANSFORMS = {
@@ -53,6 +56,10 @@ _FACTOR_TRANSFORMS = {
 }
 
 _MAX_GROUPS = 100_000
+
+# The value of a GROUP BY template's slot predicate: the group attribute
+# is conditioned on, but on no value yet (see :class:`_GroupBinding`).
+_SLOT = object()
 
 
 class CompilationError(RuntimeError):
@@ -199,12 +206,16 @@ class Estimate:
     ``parts`` optionally names sub-estimates whose values multiply into
     this one (SUM = COUNT x AVG) -- kept as estimates rather than terms
     so exact zeros (empty selections) survive the product.
+
+    ``slots`` maps each GROUP BY slot attribute of a template unit to
+    its merged range (see :class:`_GroupBinding`).
     """
 
     def __init__(self, value=None, terms=None, parts=None):
         self.terms = list(terms) if terms else []
         self._parts = tuple(parts) if parts else None
         self._value = value
+        self.slots = {}
 
     @property
     def value(self):
@@ -240,6 +251,25 @@ class Estimate:
     def confidence_interval(self, confidence=0.95):
         mean, variance = self.moments()
         return ci.interval(mean, variance, confidence)
+
+    def bind(self, binding):
+        """One estimate per group of ``binding``, with the group's values
+        bound into this template (see :class:`_GroupBinding`)."""
+        if self._parts is not None:
+            return [
+                Estimate(terms=[term for part in parts for term in part.terms],
+                         parts=parts)
+                for parts in zip(*(part.bind(binding) for part in self._parts))
+            ]
+        if not self.terms:
+            return [self] * binding.n_groups
+        return [
+            Estimate(0.0) if missed else Estimate(terms=terms)
+            for missed, terms in zip(
+                binding.misses(self.slots),
+                zip(*(binding.term(term) for term in self.terms)),
+            )
+        ]
 
 
 class _MedianEstimate(Estimate):
@@ -277,6 +307,15 @@ class _MedianEstimate(Estimate):
         self.value  # noqa: B018 - force the median / closest-term choice
         return super().moments()
 
+    def bind(self, binding):
+        return [
+            Estimate(0.0) if missed else _MedianEstimate(candidates)
+            for missed, candidates in zip(
+                binding.misses(self.slots),
+                zip(*(binding.term(term) for term in self.candidates)),
+            )
+        ]
+
 
 @dataclass
 class SumEstimate:
@@ -308,6 +347,15 @@ class SumEstimate:
         mean, variance = self.moments()
         return ci.interval(mean, variance, confidence)
 
+    def bind(self, binding):
+        signs = [sign for sign, _ in self.components]
+        return [
+            SumEstimate(list(zip(signs, components)))
+            for components in zip(
+                *(estimate.bind(binding) for _, estimate in self.components)
+            )
+        ]
+
 
 @dataclass
 class RatioEstimate:
@@ -333,6 +381,106 @@ class RatioEstimate:
     def confidence_interval(self, confidence=0.95):
         mean, variance = self.moments()
         return ci.interval(mean, variance, confidence)
+
+    def bind(self, binding):
+        return [
+            RatioEstimate(nominator, denominator)
+            for nominator, denominator in zip(
+                self.nominator.bind(binding), self.denominator.bind(binding)
+            )
+        ]
+
+
+class _GroupBinding:
+    """Binds the values of a batch of groups into a GROUP BY template.
+
+    A template is one GROUP BY stage compiled once: the stage's query
+    plus a slot predicate per group attribute, placed where a group's
+    ``=`` predicates go.  A slot's range is
+    ``Range.everything(include_null=True)``, and intersecting with it
+    changes no range.  RSPN choice, Theorem case, term structure and
+    the AVG denominator's ``IS NOT NULL`` read only condition *keys*, so
+    the template has exactly the structure of each group's own
+    compilation.  ``template.bind(binding)`` returns one estimate per
+    group, spec for spec what the group's own compilation builds:
+
+    - every range on a group attribute becomes
+      ``template_range.intersect(point)``, computed once per distinct
+      ``(attribute, template range)`` pair and group value; intersecting
+      with a point is order-independent, so it is ``==`` the range the
+      group's own compilation merges;
+    - a compiled unit (one ``_compile_count`` / ``_compile_avg``
+      result) whose merged range on a group attribute misses the point
+      binds to ``Estimate(0.0)``, as the group's own compilation does;
+    - an expectation on no group attribute is shared by every group:
+      one spec instead of one per group.
+
+    ``points[k]`` holds the point range of each domain value of
+    ``attrs[k]``; each group is a tuple of domain indices, one per
+    attribute.
+    """
+
+    def __init__(self, attrs, points, groups):
+        self.n_groups = len(groups)
+        self.columns = {
+            attr: (points[k], [group[k] for group in groups])
+            for k, attr in enumerate(attrs)
+        }
+        self.ranges = {}  # (attr, template range) -> bound range per group
+        self.bound = {}  # id(template expectation) -> bound per group
+
+    def range(self, attr, rng):
+        bound = self.ranges.get((attr, rng))
+        if bound is None:
+            points, indices = self.columns[attr]
+            per_value = [rng.intersect(point) for point in points]
+            bound = self.ranges[attr, rng] = [per_value[i] for i in indices]
+        return bound
+
+    def misses(self, slots):
+        """Per group: does any of a unit's slot ranges miss its value?"""
+        if not slots:
+            return [False] * self.n_groups
+        return [
+            any(rng.is_empty() for rng in ranges)
+            for ranges in zip(*(self.range(a, r) for a, r in slots.items()))
+        ]
+
+    def term(self, term):
+        nominators = self.expectation(term.nominator)
+        denominators = (
+            [None] * self.n_groups
+            if term.denominator is None
+            else self.expectation(term.denominator)
+        )
+        return [
+            _Term(nominator, denominator, term.scale, term.conditional)
+            for nominator, denominator in zip(nominators, denominators)
+        ]
+
+    def expectation(self, expectation):
+        bound = self.bound.get(id(expectation))
+        if bound is not None:
+            return bound
+        conditions = expectation.conditions
+        if any(attr in self.columns for attr in conditions):
+            keys = list(conditions)
+            per_key = [
+                self.range(attr, rng) if attr in self.columns
+                else [rng] * self.n_groups
+                for attr, rng in conditions.items()
+            ]
+            bound = [
+                _Expectation(
+                    expectation.rspn, dict(zip(keys, ranges)),
+                    list(expectation.factors),
+                )
+                for ranges in zip(*per_key)
+            ]
+        else:
+            bound = [expectation] * self.n_groups
+        self.bound[id(expectation)] = bound
+        return bound
 
 
 def _format_constant(value):
@@ -526,26 +674,32 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
         """
         lines = [f"query    : {query.describe()}"]
         lines.append(f"strategy : {self.strategy}")
+        slots = ()
         if query.group_by:
-            scalar = query.without_group_by()
-            domains = [
-                self._group_domain(table, column, query)
-                for table, column in query.group_by
-            ]
             n_groups = 1
-            for domain in domains:
+            for domain in self._group_domains(query):
                 n_groups *= max(len(domain), 1)
+            slots = tuple(f"{table}.{column}" for table, column in query.group_by)
+            template = self._estimate(self._group_template_query(query))
+            shared = {
+                id(expectation)
+                for expectation in template.expectations()
+                if not any(attr in expectation.conditions for attr in slots)
+            }
             lines.append(
-                f"group-by : {n_groups} candidate groups, one compilation each "
-                "(Section 4.2); template below"
+                f"group-by : {n_groups} candidate groups; template below, "
+                "compiled once and bound per group (Section 4.2); "
+                f"{len(shared)} shared expectation(s)"
             )
-            query = scalar
+            lines.extend(self._explain_estimate(template, slots=slots))
+            query = query.without_group_by()
         estimate = self._estimate(query)
-        lines.extend(self._explain_estimate(estimate))
+        if not slots:
+            lines.extend(self._explain_estimate(estimate))
         lines.append(f"estimate : {estimate.value:,.4f}")
         return "\n".join(lines)
 
-    def _explain_estimate(self, estimate, indent="  "):
+    def _explain_estimate(self, estimate, indent="  ", slots=()):
         if isinstance(estimate, SumEstimate):
             lines = [
                 f"{indent}inclusion-exclusion over "
@@ -553,13 +707,19 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
             ]
             for sign, component in estimate.components:
                 lines.append(f"{indent}  sign {'+' if sign > 0 else '-'}:")
-                lines.extend(self._explain_estimate(component, indent + "    "))
+                lines.extend(
+                    self._explain_estimate(component, indent + "    ", slots)
+                )
             return lines
         if isinstance(estimate, RatioEstimate):
             lines = [f"{indent}ratio (SUM / COUNT):"]
-            lines.extend(self._explain_estimate(estimate.nominator, indent + "  "))
+            lines.extend(
+                self._explain_estimate(estimate.nominator, indent + "  ", slots)
+            )
             lines.append(f"{indent}over:")
-            lines.extend(self._explain_estimate(estimate.denominator, indent + "  "))
+            lines.extend(
+                self._explain_estimate(estimate.denominator, indent + "  ", slots)
+            )
             return lines
         if not estimate.terms:
             return [f"{indent}(empty selection -> {estimate.value:,.4f})"]
@@ -568,13 +728,13 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
             header = f"{indent}term {i}: "
             if term.scale != 1.0:
                 header += f"{term.scale:,.0f} * "
-            header += self._describe_expectation(term.nominator)
+            header += self._describe_expectation(term.nominator, slots)
             if term.denominator is not None:
-                header += " / " + self._describe_expectation(term.denominator)
+                header += " / " + self._describe_expectation(term.denominator, slots)
             lines.append(header)
         return lines
 
-    def _describe_expectation(self, expectation):
+    def _describe_expectation(self, expectation, slots=()):
         parts = []
         for column, kind in expectation.factors:
             symbol = {
@@ -585,7 +745,13 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
             }[kind]
             parts.append(symbol)
         for attr, rng in expectation.conditions.items():
-            parts.append(f"1_{{{attr} in {self._describe_range(attr, rng)}}}")
+            if attr in slots and rng.is_unconstrained():
+                parts.append(f"1_{{{attr} = <group>}}")
+            elif attr in slots:
+                described = self._describe_range(attr, rng)
+                parts.append(f"1_{{{attr} in {described}, = <group>}}")
+            else:
+                parts.append(f"1_{{{attr} in {self._describe_range(attr, rng)}}}")
         body = " * ".join(parts) if parts else "1"
         tables = "/".join(sorted(expectation.rspn.tables))
         return f"E[ {body} ] on RSPN({tables})"
@@ -627,23 +793,26 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
         return {combo: est.value for combo, est in self._group_estimates(query)}
 
     def _group_estimates(self, query):
-        """One estimate per group: the n-queries-per-group-by of Section 4.2.
+        """One estimate per group: the n-queries-per-group-by of Section 4.2,
+        compiled once and bound per group.
 
         Group domains are the distinct column values observed in the data,
-        restricted by the query's predicates on the same table (cheap mask
-        on the base table) so that e.g. a brand group-by under a category
-        filter only enumerates that category's brands.  HAVING conditions
-        are applied on per-group aggregate *estimates*; ORDER/LIMIT sort
-        and truncate by the estimated value.
+        restricted by the query's predicates on the same table (one mask
+        per grouped table) so that e.g. a brand group-by under a category
+        filter only enumerates that category's brands.
 
-        Evaluation is staged so that every group shares one batched
-        sweep per RSPN: all group COUNTs first (they gate on
+        Evaluation is staged: all group COUNTs first (they gate on
         ``min_group_count``), then each HAVING aggregate across the
-        surviving groups, then the query aggregate itself.
+        surviving groups, then the query aggregate itself.  Each stage
+        is compiled once, as a template of the scalar query with a slot
+        per group attribute, and each group's value is bound into it
+        (:class:`_GroupBinding`) -- spec for spec the group's own
+        compilation -- so all groups of a stage share one batched sweep
+        per RSPN.  HAVING conditions apply to per-group aggregate
+        *estimates*; ORDER/LIMIT sort and truncate by the estimated
+        value.
         """
-        per_column = [
-            self._group_domain(table, column, query) for table, column in query.group_by
-        ]
+        per_column = self._group_domains(query)
         total = 1
         for values in per_column:
             total *= max(len(values), 1)
@@ -651,59 +820,65 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
             raise CompilationError(
                 f"group-by would enumerate {total} groups (> {_MAX_GROUPS})"
             )
-        scalar = query.without_group_by()
-        groups = []
-        for combo in itertools.product(*per_column):
-            extra = tuple(
-                Predicate(t, c, "=", v)
-                for (t, c), v in zip(query.group_by, combo)
-            )
-            groups.append((combo, scalar.with_extra_predicates(extra)))
-        counts = [
-            self.estimate_count(grouped.with_aggregate(grouped.aggregate.count()))
-            for _, grouped in groups
+        groups = list(itertools.product(*(range(len(v)) for v in per_column)))
+        if not groups:
+            return []
+        template = self._group_template_query(query)
+        attrs = tuple(f"{table}.{column}" for table, column in query.group_by)
+        points = [
+            [
+                self._predicate_range(
+                    self.database.table(table), Predicate(table, column, "=", value)
+                )
+                for value in values
+            ]
+            for (table, column), values in zip(query.group_by, per_column)
         ]
-        self.evaluate_estimates(counts)
+
+        def bind(stage_query, stage_groups):
+            estimates = self._estimate(stage_query).bind(
+                _GroupBinding(attrs, points, stage_groups)
+            )
+            self.evaluate_estimates(estimates)
+            return estimates
+
+        counts = bind(template.with_aggregate(Aggregate.count()), groups)
         survivors = [
-            (combo, grouped, count)
-            for (combo, grouped), count in zip(groups, counts)
+            (group, count)
+            for group, count in zip(groups, counts)
             if count.value >= self.min_group_count
         ]
-        survivors = self._having_filter(query, survivors)
-        if query.aggregate.function == "COUNT":
-            results = [(combo, count) for combo, _, count in survivors]
-        else:
-            estimates = [
-                self._estimate(grouped) for _, grouped, _ in survivors
-            ]
-            self.evaluate_estimates(estimates)
-            results = [
-                (combo, estimate)
-                for (combo, _, _), estimate in zip(survivors, estimates)
-            ]
-        return self._order_and_limit(results, query)
-
-    def _having_filter(self, query, survivors):
-        """Evaluate HAVING clauses on per-group estimates, one batched
-        clause at a time across all surviving groups."""
         for clause in query.having:
             if not survivors:
                 break
             if clause.aggregate.function == "COUNT":
-                estimated = [count.value for _, _, count in survivors]
+                estimated = [count for _, count in survivors]
             else:
-                estimates = [
-                    self._estimate(grouped.with_aggregate(clause.aggregate))
-                    for _, grouped, _ in survivors
-                ]
-                self.evaluate_estimates(estimates)
-                estimated = [estimate.value for estimate in estimates]
+                estimated = bind(
+                    template.with_aggregate(clause.aggregate),
+                    [group for group, _ in survivors],
+                )
             survivors = [
                 entry
-                for entry, value in zip(survivors, estimated)
-                if clause.accepts(value)
+                for entry, estimate in zip(survivors, estimated)
+                if clause.accepts(estimate.value)
             ]
-        return survivors
+        if query.aggregate.function != "COUNT" and survivors:
+            kept = [group for group, _ in survivors]
+            survivors = list(zip(kept, bind(template, kept)))
+        results = [
+            (tuple(values[i] for values, i in zip(per_column, group)), estimate)
+            for group, estimate in survivors
+        ]
+        return self._order_and_limit(results, query)
+
+    @staticmethod
+    def _group_template_query(query):
+        """The scalar query with a slot predicate per group attribute,
+        where a group's ``=`` predicates go."""
+        return query.without_group_by().with_extra_predicates(tuple(
+            Predicate(table, column, "=", _SLOT) for table, column in query.group_by
+        ))
 
     @staticmethod
     def _order_and_limit(results, query):
@@ -717,15 +892,22 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
             ordered = ordered[: query.limit]
         return ordered
 
-    def _group_domain(self, table_name, column, query):
-        from repro.engine.filters import conjunction_mask
-
-        table = self.database.table(table_name)
-        predicates = query.predicates_on(table_name)
-        if not predicates:
-            return table.distinct_values(column, decoded=True)
-        filtered = table.select(conjunction_mask(table, predicates))
-        return filtered.distinct_values(column, decoded=True)
+    def _group_domains(self, query):
+        """Each group column's distinct values under the query's
+        predicates on its table, masking each grouped table once."""
+        masks = {}
+        domains = []
+        for table_name, column in query.group_by:
+            table = self.database.table(table_name)
+            if table_name not in masks:
+                predicates = query.predicates_on(table_name)
+                masks[table_name] = (
+                    conjunction_mask(table, predicates) if predicates else None
+                )
+            domains.append(
+                table.distinct_values(column, decoded=True, mask=masks[table_name])
+            )
+        return domains
 
     # ------------------------------------------------------------------
     # Conditions and scoring
@@ -744,6 +926,8 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
     @staticmethod
     def _predicate_range(table, predicate):
         op, value = predicate.op, predicate.value
+        if value is _SLOT:
+            return Range.everything()
         if op in ("IS NULL", "IS NOT NULL"):
             return Range.from_operator(op, None)
         if op == "IN":
@@ -811,15 +995,26 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
     # ------------------------------------------------------------------
     # COUNT compilation (Cases 1-3)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _slot_ranges(query, conditions):
+        """Merged range of every GROUP BY slot attribute of ``query``."""
+        return {
+            predicate.qualified_column: conditions[predicate.qualified_column]
+            for predicate in query.predicates
+            if predicate.value is _SLOT
+        }
+
     def _compile_count(self, query) -> Estimate:
         conditions = self._conditions(query)
         if any(rng.is_empty() for rng in conditions.values()):
             return Estimate(0.0)
         query_tables = set(query.tables)
         full_cover = self.ensemble.covering(query_tables)
-        if full_cover:
-            if self.strategy == "median" and len(full_cover) > 1:
-                return self._median_count(full_cover, query_tables, conditions, query)
+        if not full_cover:
+            estimate = self._compile_count_multi(query, conditions, query_tables)
+        elif self.strategy == "median" and len(full_cover) > 1:
+            estimate = self._median_count(full_cover, query_tables, conditions, query)
+        else:
             if self.strategy == "first":
                 rspn = full_cover[0]
             else:
@@ -828,9 +1023,9 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
                     key=lambda r: self._score(r, conditions, query_tables),
                 )
             expectation = self._count_expectation(rspn, query_tables, conditions, query)
-            term = _Term(expectation, scale=rspn.full_size)
-            return Estimate(terms=[term])
-        return self._compile_count_multi(query, conditions, query_tables)
+            estimate = Estimate(terms=[_Term(expectation, scale=rspn.full_size)])
+        estimate.slots = self._slot_ranges(query, conditions)
+        return estimate
 
     def _median_count(self, full_cover, query_tables, conditions, query) -> Estimate:
         """Median over every covering RSPN's compilation ("median of
@@ -985,5 +1180,6 @@ class ProbabilisticQueryCompiler(CardinalityEstimator):
         denominator.conditions[agg_attr] = (
             not_null if existing is None else existing.intersect(not_null)
         )
-        term = _Term(nominator, denominator, conditional=True)
-        return Estimate(terms=[term])
+        estimate = Estimate(terms=[_Term(nominator, denominator, conditional=True)])
+        estimate.slots = self._slot_ranges(query, conditions)
+        return estimate

@@ -1222,11 +1222,13 @@ class _LazyLeafSlots:
     Backed entirely by the persisted leaf-table arrays (no per-leaf
     Python work at construction): ``order`` holds leaf slots grouped by
     scope (ascending slot within a scope, matching the eager map's post
-    order), ``scopes``/``starts`` delimit the groups.
+    order), ``scopes``/``starts`` delimit the groups.  A ``scope ->
+    group`` dict, O(scopes) to build, answers the sweep's per-spec
+    membership tests without a binary search.
     """
 
     __slots__ = ("_scopes", "_starts", "_order", "_kinds", "_attributes",
-                 "_offsets", "_ns", "_leaf_data", "_built")
+                 "_offsets", "_ns", "_leaf_data", "_built", "_positions")
 
     def __init__(self, scopes, starts, order, kinds, attributes, offsets,
                  ns, leaf_data):
@@ -1239,6 +1241,9 @@ class _LazyLeafSlots:
         self._ns = ns                  # per-slot histogram size
         self._leaf_data = leaf_data
         self._built = {}
+        self._positions = {
+            scope: position for position, scope in enumerate(scopes.tolist())
+        }
 
     def _group(self, position):
         lo = int(self._starts[position])
@@ -1249,15 +1254,8 @@ class _LazyLeafSlots:
         )
         return self._order[lo:hi]
 
-    def _position(self, scope):
-        position = int(np.searchsorted(self._scopes, scope))
-        if (position >= self._scopes.shape[0]
-                or int(self._scopes[position]) != scope):
-            return None
-        return position
-
     def __contains__(self, scope):
-        return self._position(scope) is not None
+        return scope in self._positions
 
     def __iter__(self):
         return (int(scope) for scope in self._scopes)
@@ -1277,9 +1275,7 @@ class _LazyLeafSlots:
     def __getitem__(self, scope):
         built = self._built.get(scope)
         if built is None:
-            position = self._position(scope)
-            if position is None:
-                raise KeyError(scope)
+            position = self._positions[scope]
             built = tuple(
                 (int(slot),
                  _build_leaf(int(self._kinds[slot]), scope,

@@ -97,9 +97,12 @@ class Table:
             return self.vocabularies[column][int(code)]
         return code
 
-    def distinct_values(self, column, decoded=False):
-        """Sorted distinct non-NULL values of a column."""
+    def distinct_values(self, column, decoded=False, mask=None):
+        """Sorted distinct non-NULL values of a column (of the rows
+        ``mask`` selects, if given)."""
         values = self.columns[column]
+        if mask is not None:
+            values = values[mask]
         codes = np.unique(values[~np.isnan(values)])
         if decoded and column in self.vocabularies:
             return [self.vocabularies[column][int(c)] for c in codes]

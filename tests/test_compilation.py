@@ -9,20 +9,24 @@ construction.  This separates the compilation math from SPN
 approximation error.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import compilation
 from repro.core.compilation import CompilationError, ProbabilisticQueryCompiler
 from repro.core.ensemble import EnsembleConfig, SPNEnsemble, learn_ensemble
 from repro.core.leaves import product_transform
 from repro.engine.executor import Executor
+from repro.engine.filters import conjunction_mask
 from repro.engine.join import (
     full_outer_join_size,
     join_frame,
     join_learning_columns,
     materialize_full_outer_join,
 )
-from repro.engine.query import Aggregate, Predicate, Query
+from repro.engine.query import Aggregate, Having, Predicate, Query
 from tests.conftest import build_customer_orders
 
 
@@ -411,3 +415,263 @@ class TestLearnedEndToEnd:
             q_error(executor.cardinality(q), compiler.cardinality(q)) for q in queries
         ]
         assert float(np.median(errors)) < 1.6
+
+
+# ----------------------------------------------------------------------
+# GROUP BY: one template per stage, bound per group
+# ----------------------------------------------------------------------
+def per_group_domain(compiler, table_name, column, query):
+    """A group column's domain from a filtered copy of its table."""
+    table = compiler.database.table(table_name)
+    predicates = query.predicates_on(table_name)
+    if not predicates:
+        return table.distinct_values(column, decoded=True)
+    selected = table.select(conjunction_mask(table, predicates))
+    return selected.distinct_values(column, decoded=True)
+
+
+def per_group_estimates(compiler, query):
+    """GROUP BY with one full compilation per group and stage: the
+    oracle the compiled-once templates must reproduce spec for spec."""
+    per_column = [
+        per_group_domain(compiler, table, column, query)
+        for table, column in query.group_by
+    ]
+    scalar = query.without_group_by()
+    groups = [
+        (
+            combo,
+            scalar.with_extra_predicates(tuple(
+                Predicate(table, column, "=", value)
+                for (table, column), value in zip(query.group_by, combo)
+            )),
+        )
+        for combo in itertools.product(*per_column)
+    ]
+    counts = [
+        compiler.estimate_count(grouped.with_aggregate(Aggregate.count()))
+        for _, grouped in groups
+    ]
+    compiler.evaluate_estimates(counts)
+    survivors = [
+        (combo, grouped, count)
+        for (combo, grouped), count in zip(groups, counts)
+        if count.value >= compiler.min_group_count
+    ]
+    for clause in query.having:
+        if clause.aggregate.function == "COUNT":
+            estimates = [count for _, _, count in survivors]
+        else:
+            estimates = [
+                compiler._estimate(grouped.with_aggregate(clause.aggregate))
+                for _, grouped, _ in survivors
+            ]
+            compiler.evaluate_estimates(estimates)
+        survivors = [
+            entry
+            for entry, estimate in zip(survivors, estimates)
+            if clause.accepts(estimate.value)
+        ]
+    if query.aggregate.function == "COUNT":
+        results = [(combo, count) for combo, _, count in survivors]
+    else:
+        estimates = [compiler._estimate(grouped) for _, grouped, _ in survivors]
+        compiler.evaluate_estimates(estimates)
+        results = [
+            (combo, estimate)
+            for (combo, _, _), estimate in zip(survivors, estimates)
+        ]
+    return compiler._order_and_limit(results, query)
+
+
+def expectation_specs(estimate):
+    """Every expectation's (ordered conditions, transforms), in order."""
+    return [
+        (list(expectation.conditions.items()), expectation.transform_map())
+        for expectation in estimate.expectations()
+    ]
+
+
+_C, _O, _L = "customer", "orders", "orderline"
+_EU = Predicate(_C, "region", "=", "EU")
+_YOUNG = Predicate(_C, "age", "<", 30)
+_GROUP_BY_SHAPES = {
+    "count": Query((_C,), predicates=(Predicate(_C, "age", ">=", 30),),
+                   group_by=((_C, "region"),)),
+    "avg": Query((_C,), aggregate=Aggregate.avg(_C, "age"),
+                 group_by=((_C, "region"),)),
+    "sum": Query((_C,), aggregate=Aggregate.sum(_C, "age"),
+                 predicates=(Predicate(_C, "age", "<", 50),),
+                 group_by=((_C, "region"),)),
+    "join_two_columns": Query((_C, _O), group_by=((_C, "region"), (_O, "channel"))),
+    "join_avg": Query((_O, _L), aggregate=Aggregate.avg(_L, "qty"),
+                      predicates=(Predicate(_L, "qty", ">=", 3),),
+                      group_by=((_O, "channel"),)),
+    "three_way": Query((_C, _O, _L), aggregate=Aggregate.sum(_L, "qty"),
+                       predicates=(_EU,), group_by=((_O, "channel"),)),
+    "filter_on_grouped_column": Query(
+        (_C,), predicates=(Predicate(_C, "age", ">=", 60),),
+        group_by=((_C, "age"),)),
+    "group_by_aggregated_column": Query(
+        (_C,), aggregate=Aggregate.avg(_C, "age"),
+        predicates=(Predicate(_C, "age", ">=", 60),), group_by=((_C, "age"),)),
+    "disjunctive_count": Query((_C,), disjunctions=((_EU, _YOUNG),),
+                               group_by=((_C, "age"),)),
+    "disjunctive_sum": Query((_C,), aggregate=Aggregate.sum(_C, "age"),
+                             disjunctions=((_EU, _YOUNG),),
+                             group_by=((_C, "age"),)),
+    "disjunctive_avg_join": Query((_C, _O), aggregate=Aggregate.avg(_C, "age"),
+                                  disjunctions=((_EU, _YOUNG),),
+                                  group_by=((_O, "channel"),)),
+    "having": Query((_C, _O), aggregate=Aggregate.avg(_C, "age"),
+                    group_by=((_C, "region"), (_O, "channel")),
+                    having=(Having(Aggregate.count(), ">", 50),
+                            Having(Aggregate.sum(_C, "age"), ">", 1_000))),
+    "order_limit": Query((_C,), group_by=((_C, "age"),), order="desc", limit=5),
+}
+
+
+@pytest.fixture(scope="module")
+def learned(db):
+    """Learned ensembles: ``joined`` (a customer-orders RSPN), ``single``
+    (one RSPN per table: every join is a Case-3 expansion) and ``mixed``
+    (both, so the median strategy has several candidates)."""
+    config = dict(sample_size=3_000, correlation_sample=400)
+    joined = learn_ensemble(db, EnsembleConfig(**config))
+    single = learn_ensemble(db, EnsembleConfig(**config, single_tables_only=True))
+    mixed = SPNEnsemble(db)
+    for rspn in joined.rspns + single.rspns:
+        mixed.add(rspn)
+    mixed.attribute_rdc = dict(joined.attribute_rdc)
+    return {"joined": joined, "single": single, "mixed": mixed}
+
+
+class TestGroupTemplate:
+    """Each GROUP BY stage compiles once and binds every group's value;
+    the bound estimates must be, spec for spec, the per-group
+    compilations they replace, with ``==`` values and intervals."""
+
+    @staticmethod
+    def _assert_matches_oracle(compiler, query):
+        bound = compiler._group_estimates(query)
+        oracle = per_group_estimates(compiler, query)
+        assert [combo for combo, _ in bound] == [combo for combo, _ in oracle]
+        for (combo, estimate), (_, expected) in zip(bound, oracle):
+            assert expectation_specs(estimate) == expectation_specs(expected), combo
+            assert estimate.value == expected.value, combo
+            assert (
+                estimate.confidence_interval() == expected.confidence_interval()
+            ), combo
+        assert compiler.answer_with_confidence(query) == {
+            combo: (estimate.value, estimate.confidence_interval())
+            for combo, estimate in oracle
+        }
+        return bound
+
+    @pytest.mark.parametrize("strategy", ["rdc", "median", "first"])
+    @pytest.mark.parametrize("shape", sorted(_GROUP_BY_SHAPES))
+    def test_template_equals_per_group_compilation(self, learned, shape, strategy):
+        compiler = ProbabilisticQueryCompiler(learned["mixed"], strategy=strategy)
+        assert self._assert_matches_oracle(compiler, _GROUP_BY_SHAPES[shape])
+
+    @pytest.mark.parametrize("shape", sorted(_GROUP_BY_SHAPES))
+    def test_case3_template_equals_per_group_compilation(self, learned, shape):
+        compiler = ProbabilisticQueryCompiler(learned["single"])
+        assert self._assert_matches_oracle(compiler, _GROUP_BY_SHAPES[shape])
+
+    def test_exact_oracle_rspns(self, db, executor):
+        """Theorem 1/2 on exact expectations: grouped Case-3 answers
+        equal the per-group compilation and the executor."""
+        compiler = ProbabilisticQueryCompiler(
+            oracle_ensemble(db, [["customer"], ["orders"], ["orderline"]])
+        )
+        query = Query((_C, _O), group_by=((_C, "region"),))
+        self._assert_matches_oracle(compiler, query)
+        estimated = compiler.answer(query)
+        for key, value in executor.execute(query).items():
+            assert estimated[key] == pytest.approx(value, rel=1e-6)
+
+    def test_groups_outside_a_disjunct_bind_to_empty_units(self, learned):
+        """``age < 30`` misses most age groups: those inclusion-exclusion
+        components must bind to the exact zero a per-group compilation
+        returns for an empty range."""
+        compiler = ProbabilisticQueryCompiler(learned["joined"])
+        query = _GROUP_BY_SHAPES["disjunctive_count"]
+        bound = dict(compiler._group_estimates(query))
+        old = [estimate for (age,), estimate in bound.items() if age >= 30]
+        assert old
+        for estimate in old:
+            values = [component.value for _, component in estimate.components]
+            assert values.count(0.0) == 2  # age < 30, and EU AND age < 30
+
+    def test_expectations_without_group_attributes_are_shared(self, learned):
+        """A Case-3 denominator without conditions is one spec for every
+        group, not one per group; single-table templates share none."""
+        compiler = ProbabilisticQueryCompiler(learned["single"])
+        query = Query((_C, _O), group_by=((_O, "channel"),))
+        bound = compiler._group_estimates(query)
+        oracle = per_group_estimates(compiler, query)
+        assert len(bound) == len(oracle) > 1
+
+        def distinct(results):
+            return len({
+                id(expectation)
+                for _, estimate in results
+                for expectation in estimate.expectations()
+            })
+
+        assert distinct(bound) < distinct(oracle)
+        single = _GROUP_BY_SHAPES["avg"]
+        assert distinct(compiler._group_estimates(single)) == distinct(
+            per_group_estimates(compiler, single)
+        )
+
+
+class TestGroupDomains:
+    """The group domains come from one mask per grouped table and equal
+    the per-column filtered copies they replace."""
+
+    @staticmethod
+    def _assert_domains_equal(compiler, query):
+        got = compiler._group_domains(query)
+        expected = [
+            per_group_domain(compiler, table, column, query)
+            for table, column in query.group_by
+        ]
+        assert [type(values) for values in got] == [type(v) for v in expected]
+        assert [list(values) for values in got] == [list(v) for v in expected]
+        return got
+
+    @pytest.mark.parametrize("predicates", [
+        (),
+        (Predicate(_C, "age", ">=", 40), Predicate(_C, "region", "=", "EU")),
+        (Predicate(_C, "age", "<", 0),),  # empties the table
+    ])
+    def test_two_columns_on_one_table(self, learned, predicates):
+        compiler = ProbabilisticQueryCompiler(learned["joined"])
+        query = Query((_C,), predicates=predicates,
+                      group_by=((_C, "region"), (_C, "age")))
+        regions, ages = self._assert_domains_equal(compiler, query)
+        if predicates and predicates[0].value == 0:
+            assert list(regions) == [] and list(ages) == []
+            assert compiler.answer(query) == {}
+        else:
+            assert all(isinstance(region, str) for region in regions)
+
+    def test_each_grouped_table_is_masked_once(self, learned, monkeypatch):
+        compiler = ProbabilisticQueryCompiler(learned["joined"])
+        query = Query(
+            (_C, _O),
+            predicates=(Predicate(_C, "age", ">=", 40),
+                        Predicate(_O, "channel", "=", "ONLINE")),
+            group_by=((_C, "region"), (_O, "channel"), (_C, "age")),
+        )
+        masked = []
+
+        def counting_mask(table, predicates):
+            masked.append(table.name)
+            return conjunction_mask(table, predicates)
+
+        monkeypatch.setattr(compilation, "conjunction_mask", counting_mask)
+        self._assert_domains_equal(compiler, query)
+        assert sorted(masked) == [_C, _O]

@@ -242,6 +242,35 @@ class TestCompiledEstimates:
         low, high = estimate.confidence_interval(0.95)
         assert low <= estimate.value <= high
 
+    @pytest.mark.parametrize("aggregate", [
+        Aggregate.count(),
+        Aggregate.sum("customer", "age"),
+        Aggregate.avg("customer", "age"),
+    ])
+    def test_group_by_over_disjunction(self, compiler, executor, aggregate):
+        """Each group's answer is the disjunctive scalar answer with the
+        group's ``=`` predicate added, and close to the exact one."""
+        or_group = (
+            Predicate("customer", "region", "=", "EU"),
+            Predicate("customer", "age", "<", 25),
+        )
+        query = Query(
+            ("customer", "orders"),
+            aggregate=aggregate,
+            disjunctions=(or_group,),
+            group_by=(("orders", "channel"),),
+        )
+        answer = compiler.answer(query)
+        exact = executor.execute(query)
+        assert set(answer) == set(exact)
+        for (channel,), value in answer.items():
+            scalar = _or_query(
+                or_group, tables=("customer", "orders"), aggregate=aggregate,
+                predicates=(Predicate("orders", "channel", "=", channel),),
+            )
+            assert value == compiler.answer(scalar)
+            assert value == pytest.approx(exact[(channel,)], rel=0.15)
+
     def test_disjoint_or_equals_in_predicate(self, compiler):
         """region = 'EU' OR region = 'ASIA' must agree with IN (both)."""
         union = compiler.estimate_count(

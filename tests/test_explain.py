@@ -84,6 +84,26 @@ class TestExplain:
         )
         text = compiler.explain(query)
         assert "candidate groups" in text
+        assert "compiled once and bound per group" in text
+        assert "0 shared expectation(s)" in text
+        assert "1_{orders.channel = <group>}" in text
+
+    def test_group_by_counts_shared_expectations(self, three_table_db):
+        """Grouped by ``orders.channel`` on single-table RSPNs, the
+        Case-3 expansion onto ``customer`` reads no group attribute:
+        both of its expectations are shared by every group."""
+        ensemble = learn_ensemble(
+            three_table_db,
+            EnsembleConfig(
+                sample_size=2_000, correlation_sample=400, single_tables_only=True
+            ),
+        )
+        query = Query(
+            ("customer", "orders"),
+            group_by=(("orders", "channel"),),
+        )
+        text = ProbabilisticQueryCompiler(ensemble).explain(query)
+        assert "2 shared expectation(s)" in text
 
     def test_empty_selection_is_marked(self, compiler):
         query = Query(

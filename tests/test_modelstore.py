@@ -164,6 +164,65 @@ class TestRoundTrip:
             from_json.close()
 
 
+class TestLazyLeafSlots:
+    """A store-loaded model's lazy ``scope -> leaf slots`` map answers
+    ``in``, ``[]``, iteration and ``len`` exactly like the eager map of
+    the same tree, absent scope ids included."""
+
+    @pytest.fixture(scope="class", params=["imdb", "flights"])
+    def forms(self, request, tmp_path_factory):
+        database = request.getfixturevalue(f"tiny_{request.param}")
+        live = DeepDB.learn(database, EnsembleConfig(sample_size=2_000))
+        path = tmp_path_factory.mktemp("lazy") / "model.rspn"
+        live.save(path)
+        loaded = DeepDB.load(path, database)
+        pairs = [
+            (mapped._compiled().plan.leaf_slots_by_scope,
+             compiled.compiled_for(rspn.root).plan.leaf_slots_by_scope)
+            for mapped, rspn in zip(loaded.ensemble.rspns, live.ensemble.rspns)
+        ]
+        yield pairs
+        loaded.close()
+
+    def test_lazy_map_equals_eager_map(self, forms):
+        for lazy, eager in forms:
+            assert len(lazy) == len(eager)
+            assert list(lazy) == sorted(eager)
+            for scope in eager:
+                assert scope in lazy
+                got, expected = lazy[scope], eager[scope]
+                assert [slot for slot, _ in got] == [slot for slot, _ in expected]
+                assert [
+                    (type(leaf), leaf.scope_index, leaf.attribute) for _, leaf in got
+                ] == [
+                    (type(leaf), leaf.scope_index, leaf.attribute)
+                    for _, leaf in expected
+                ]
+
+    def test_absent_scopes(self, forms):
+        for lazy, eager in forms:
+            present = sorted(eager)
+            for scope in (present[0] - 1, present[-1] + 1):
+                assert scope not in eager
+                assert scope not in lazy
+                with pytest.raises(KeyError):
+                    lazy[scope]
+
+    def test_absent_scopes_between_present_ids(self):
+        # Learned models cover every column, so gaps need a synthetic map.
+        lazy = compiled._LazyLeafSlots(
+            scopes=np.array([2, 5, 9]), starts=np.array([0, 2, 3]),
+            order=np.arange(4), kinds=None, attributes=None, offsets=None,
+            ns=None, leaf_data=None,
+        )
+        assert len(lazy) == 3 and list(lazy) == [2, 5, 9]
+        for scope in range(-1, 12):
+            assert (scope in lazy) == (scope in (2, 5, 9))
+            if scope not in (2, 5, 9):
+                with pytest.raises(KeyError):
+                    lazy[scope]
+
+
 # ----------------------------------------------------------------------
 # Corruption safety
 # ----------------------------------------------------------------------
