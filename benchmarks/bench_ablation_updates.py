@@ -8,7 +8,7 @@ insert stream under sampling rates 100% / 10% / 1% and reports offered
 tuples per second plus the post-update estimation quality.
 
 To isolate *throughput* from learning-sample quality, the learned model
-is identical across rates (cloned via the serialisation round-trip);
+is identical across rates (deep-copied, sharing the one database);
 each clone's bookkeeping sample fraction is set to the target rate,
 which is exactly how a model learned at that rate absorbs a sampled
 update stream (insertions scale the represented size by 1/rate).
@@ -17,6 +17,7 @@ Expected shape: throughput scales roughly with the inverse sampling
 rate while the q-error stays flat.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from repro.core.compilation import ProbabilisticQueryCompiler
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
 from repro.core.maintenance import absorb_inserts, delta_database
-from repro.core.serialization import ensemble_from_dict, ensemble_to_dict
 from repro.datasets import imdb, workloads
 from repro.engine.executor import Executor
 from repro.evaluation.metrics import q_error
@@ -52,7 +52,6 @@ def test_update_throughput_ablation(benchmark):
     base_ensemble = learn_ensemble(
         initial, EnsembleConfig(sample_size=20_000, correlation_sample=1_000)
     )
-    snapshot = ensemble_to_dict(base_ensemble)
 
     queries = workloads.imdb_workload(
         database, 30, table_range=(2, 4), predicate_range=(1, 3), seed=43
@@ -67,7 +66,7 @@ def test_update_throughput_ablation(benchmark):
     )
     throughputs = {}
     for rate in (1.0, 0.1, 0.01):
-        ensemble = ensemble_from_dict(snapshot, initial)
+        ensemble = copy.deepcopy(base_ensemble, {id(initial): initial})
         for rspn in ensemble.rspns:
             rspn.sample_size = rspn.full_size * rate
         start = time.perf_counter()
@@ -91,7 +90,7 @@ def test_update_throughput_ablation(benchmark):
     assert throughputs[0.1] > throughputs[1.0]
 
     # Representative single-insert latency (full-rate Algorithm 1).
-    ensemble = ensemble_from_dict(snapshot, initial)
+    ensemble = copy.deepcopy(base_ensemble, {id(initial): initial})
     rspn = ensemble.rspns[0]
     row = {name: 0.0 for name in rspn.column_names}
     benchmark(lambda: (rspn.insert(row), rspn.delete(row)))

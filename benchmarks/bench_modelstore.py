@@ -2,13 +2,11 @@
 
 Cold start is measured as **load -> first answer**: the time from a
 persisted model file on disk to a served cardinality, which is what a
-restarting (or newly scheduled) tenant server pays.  The legacy JSON
-path parses and rebuilds the whole node tree before it can answer; the
-store path mmaps the file and imports flat-array evaluation twins whose
-leaf histograms are views into the mapping, so it pays O(metadata) plus
-one compiled sweep.  The acceptance gate is >= 10x on the flights
-ensemble, with every run asserting bit-identity (``==``) against the
-live in-memory model.
+restarting (or newly scheduled) tenant server pays.  The store mmaps
+the file and imports flat-array evaluation twins whose leaf histograms
+are views into the mapping, so it pays O(metadata) plus one compiled
+sweep.  Every run asserts bit-identity (``==``) against the live
+in-memory model.
 
 The pager leg registers the same store under three tenant names with a
 memory budget of 1.5x one model (smaller than the 3-model total), runs
@@ -49,32 +47,24 @@ def _cold_start_seconds(path, database, sql):
     return seconds, answer
 
 
-def test_cold_start_store_vs_json(flights_serving_env, tmp_path,
-                                  record_modelstore_timing):
+def test_cold_start_store(flights_serving_env, tmp_path,
+                          record_modelstore_timing):
     env = flights_serving_env
     live = DeepDB(env.database, env.ensemble)
     expected = float(live.cardinality(FIRST_ANSWER_SQL))
     expected_extra = [float(v) for v in live.cardinality_batch(EXTRA_SQLS)]
 
     store_path = tmp_path / "flights.rspn"
-    json_path = tmp_path / "flights.json"
     live.save(store_path)
-    live.save(json_path, format="json")
     store_file_bytes = os.path.getsize(store_path)
-    json_file_bytes = os.path.getsize(json_path)
     blob_bytes = read_catalog(store_path)["blob_bytes"]
 
-    json_runs, store_runs = [], []
+    store_runs = []
     for _ in range(REPEATS):
-        seconds, answer = _cold_start_seconds(
-            json_path, env.database, FIRST_ANSWER_SQL
-        )
-        assert float(answer) == expected  # bit-identity, every run
-        json_runs.append(seconds)
         seconds, answer = _cold_start_seconds(
             store_path, env.database, FIRST_ANSWER_SQL
         )
-        assert float(answer) == expected
+        assert float(answer) == expected  # bit-identity, every run
         store_runs.append(seconds)
 
     # Full-batch bit-identity on top of the timed first answer.
@@ -86,26 +76,14 @@ def test_cold_start_store_vs_json(flights_serving_env, tmp_path,
     finally:
         loaded.close()
 
-    json_best, store_best = min(json_runs), min(store_runs)
-    speedup = json_best / store_best
-    print(f"\ncold start (load -> first answer), best of {REPEATS}:")
-    print(f"  JSON : {json_best * 1e3:9.2f} ms  ({json_file_bytes:,} bytes)")
-    print(f"  store: {store_best * 1e3:9.2f} ms  ({store_file_bytes:,} bytes, "
+    store_best = min(store_runs)
+    print(f"\ncold start (load -> first answer), best of {REPEATS}: "
+          f"{store_best * 1e3:.2f} ms ({store_file_bytes:,} bytes, "
           f"{blob_bytes:,} blob)")
-    print(f"  speedup: {speedup:.1f}x")
-    record_modelstore_timing(
-        "cold_start_json", json_best,
-        runs_s=json_runs, file_bytes=json_file_bytes,
-    )
     record_modelstore_timing(
         "cold_start_store", store_best,
         runs_s=store_runs, file_bytes=store_file_bytes,
-        blob_bytes=blob_bytes, speedup_vs_json=speedup,
-        bit_identical=True,
-    )
-    assert speedup >= 10.0, (
-        f"store cold start only {speedup:.1f}x faster than JSON "
-        f"({store_best * 1e3:.1f} ms vs {json_best * 1e3:.1f} ms)"
+        blob_bytes=blob_bytes, bit_identical=True,
     )
 
 

@@ -72,8 +72,8 @@ def main():
         print(f"   {column:<16s}: {_decode(table, column, raw)}")
 
     print("\n4. Persistence round-trip")
-    deepdb.save("/tmp/flights_ensemble.json")
-    reloaded = DeepDB.load("/tmp/flights_ensemble.json", database)
+    deepdb.save("/tmp/flights_ensemble.rspn")
+    reloaded = DeepDB.load("/tmp/flights_ensemble.rspn", database)
     sql = "SELECT COUNT(*) FROM flights WHERE flights.arr_delay > 60"
     original = deepdb.cardinality(sql)
     restored = reloaded.cardinality(sql)

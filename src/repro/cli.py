@@ -13,14 +13,11 @@ session.  Typical flow::
         --sql "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id"
     python -m repro.cli inspect --model model.rspn
 
-Models persist in the mmap-able store format by default
-(:mod:`repro.core.modelstore`; millisecond cold start); ``train
---format json`` / ``save --format ...`` write or convert to the legacy
-JSON document, and every command auto-detects which format it was
-given.  ``models`` lists a store directory's catalog -- and verifies
-checksums with ``--verify`` -- without loading any model::
+Models persist in the mmap-able store format
+(:mod:`repro.core.modelstore`; millisecond cold start).  ``models``
+lists a store directory's catalog -- and verifies checksums with
+``--verify`` -- without loading any model::
 
-    python -m repro.cli save   --model model.json --out model.rspn
     python -m repro.cli models --store ./fleet --verify
 
 ``estimate`` and ``query`` accept ``--sql`` several times; multi-query
@@ -29,7 +26,7 @@ invocations are answered through the batched compiled-inference path
 
 The serving pair exposes the same model to concurrent clients::
 
-    python -m repro.cli serve  --dataset imdb --scale 0.05 --model model.json \
+    python -m repro.cli serve  --dataset imdb --scale 0.05 --model model.rspn \
         --port 8080
     python -m repro.cli client --url http://127.0.0.1:8080 \
         --sql "SELECT COUNT(*) FROM title WHERE title.production_year > 2005" \
@@ -49,8 +46,8 @@ calls (micro-batching), results are cached per normalized query text
 with generation-based invalidation, and ``GET /stats`` reports
 latency/throughput/batch-occupancy.  ``client`` fires its ``--sql``
 queries concurrently so a single invocation already exercises
-coalescing.  Given a store-format model, ``serve`` registers it
-lazily: the model pages in (mmap) on the first query, and
+coalescing.  ``serve`` registers the model lazily: it pages in
+(mmap) on the first query, and
 ``--memory-budget-mb`` bounds resident model bytes with LRU eviction.
 """
 
@@ -136,21 +133,8 @@ def _cmd_train(args, out):
     seconds = time.perf_counter() - start
     print(deepdb.describe(), file=out)
     print(f"training took {seconds:.1f}s", file=out)
-    deepdb.save(args.out, format=args.format)
-    print(f"saved ensemble to {args.out} ({args.format} format)", file=out)
-    return 0
-
-
-def _cmd_save(args, out):
-    """Convert a persisted model between the store and JSON formats."""
-    from repro.deepdb import DeepDB
-
-    deepdb = DeepDB.load(args.model, None)
-    try:
-        deepdb.save(args.out, format=args.format)
-        print(f"wrote {args.out} ({args.format} format)", file=out)
-    finally:
-        deepdb.close()
+    deepdb.save(args.out)
+    print(f"saved ensemble to {args.out}", file=out)
     return 0
 
 
@@ -378,7 +362,6 @@ def _run_plan(args, out, database, deepdb, intermediate_sizes):
 
 
 def _cmd_serve(args, out):
-    from repro.core.modelstore import is_store_file
     from repro.serving import ModelRegistry, ServingServer
 
     database = _build_database(args)
@@ -388,20 +371,15 @@ def _cmd_serve(args, out):
         else int(args.memory_budget_mb * 1024 * 1024)
     )
     registry = ModelRegistry(memory_budget_bytes=budget)
-    deepdb = None
-    if is_store_file(args.model):
-        catalog = registry.register_store(
-            name, args.model, database, cache_size=args.cache_size,
-            corrector=_corrector_mode(args),
-            plan_cache=_plan_cache_enabled(args),
-        )
-        print(f"store-backed model {name!r}: {catalog['blob_bytes']:,} blob "
-              "bytes, pages in (mmap) on first query", file=out)
-        if budget is not None:
-            print(f"memory budget: {budget:,} bytes, LRU eviction", file=out)
-    else:
-        deepdb = _load_model(args, database)
-        registry.register(name, deepdb, cache_size=args.cache_size)
+    catalog = registry.register_store(
+        name, args.model, database, cache_size=args.cache_size,
+        corrector=_corrector_mode(args),
+        plan_cache=_plan_cache_enabled(args),
+    )
+    print(f"store-backed model {name!r}: {catalog['blob_bytes']:,} blob "
+          "bytes, pages in (mmap) on first query", file=out)
+    if budget is not None:
+        print(f"memory budget: {budget:,} bytes, LRU eviction", file=out)
     server = ServingServer(
         registry,
         host=args.host,
@@ -432,8 +410,6 @@ def _cmd_serve(args, out):
     finally:
         server.close()
         registry.close()
-        if deepdb is not None:
-            deepdb.close()
     return 0
 
 
@@ -630,38 +606,6 @@ def _cmd_client(args, out):
 
 
 def _cmd_inspect(args, out):
-    from repro.core.modelstore import is_store_file
-
-    if is_store_file(args.model):
-        return _inspect_store(args, out)
-    with open(args.model) as handle:
-        document = json.load(handle)
-    rspns = document.get("rspns", [])
-    print(f"ensemble with {len(rspns)} RSPNs "
-          f"(trained in {document.get('training_seconds', 0.0):.1f}s)", file=out)
-    for rspn in rspns:
-        nodes = _count_nodes(rspn["root"])
-        print(
-            f"  - {'/'.join(rspn['tables'])}: {rspn['full_size']:,.0f} rows, "
-            f"{len(rspn['column_names'])} columns, "
-            f"{nodes['sum']} sum / {nodes['product']} product / "
-            f"{nodes['leaf']} leaf nodes",
-            file=out,
-        )
-    if args.tree:
-        from repro.core.describe import render_tree
-        from repro.core.serialization import rspn_from_dict
-
-        for rspn_doc in rspns:
-            print(file=out)
-            print(
-                render_tree(rspn_from_dict(rspn_doc), max_depth=args.tree_depth),
-                file=out,
-            )
-    return 0
-
-
-def _inspect_store(args, out):
     from repro.core.modelstore import open_store
 
     with open_store(args.model) as store:
@@ -694,20 +638,6 @@ def _inspect_store(args, out):
     return 0
 
 
-def _count_nodes(node):
-    counts = {"sum": 0, "product": 0, "leaf": 0}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        kind = current["type"]
-        if kind in ("sum", "product"):
-            counts[kind] += 1
-            stack.extend(current["children"])
-        else:
-            counts["leaf"] += 1
-    return counts
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -718,25 +648,11 @@ def build_parser():
     train = commands.add_parser("train", help="learn and persist an ensemble")
     _add_dataset_arguments(train)
     train.add_argument("--out", required=True, help="output model path")
-    train.add_argument("--format", choices=("store", "json"), default="store",
-                       help="persistence format: the mmap-able model store "
-                            "(default; millisecond cold start) or the legacy "
-                            "JSON document (inspectable, slow to load)")
     train.add_argument("--sample-size", type=int, default=25_000)
     train.add_argument("--budget-factor", type=float, default=0.0)
     train.add_argument("--single-tables", action="store_true",
                        help="the paper's cheap single-table-only strategy")
     train.set_defaults(handler=_cmd_train)
-
-    save = commands.add_parser(
-        "save", help="re-save a persisted model (store <-> JSON conversion)"
-    )
-    save.add_argument("--model", required=True,
-                      help="input model (either format, auto-detected)")
-    save.add_argument("--out", required=True, help="output model path")
-    save.add_argument("--format", choices=("store", "json"), default="store",
-                      help="output format (default store)")
-    save.set_defaults(handler=_cmd_save)
 
     models = commands.add_parser(
         "models", help="list a model store file or fleet directory"

@@ -21,8 +21,8 @@ This package is the paper's primary contribution:
 - :mod:`repro.core.disjunction` -- inclusion-exclusion expansion of OR
   predicates (the principle Section 4.1 names).
 - :mod:`repro.core.sampling` -- ancestral/conditional sampling and MPE.
-- :mod:`repro.core.serialization` -- JSON persistence of RSPNs and
-  ensembles.
+- :mod:`repro.core.modelstore` -- the mmapped on-disk model store;
+  :mod:`repro.core.serialization` encodes its relational metadata.
 - :mod:`repro.core.maintenance` -- bulk insert absorption (Section 6.1)
   and structure-drift detection / refresh (Section 5.2).
 """
@@ -30,7 +30,6 @@ This package is the paper's primary contribution:
 from repro.core.compilation import ProbabilisticQueryCompiler
 from repro.core.ensemble import SPNEnsemble, learn_ensemble
 from repro.core.rspn import RSPN, RspnConfig
-from repro.core.serialization import load_ensemble, save_ensemble
 
 __all__ = [
     "ProbabilisticQueryCompiler",
@@ -38,6 +37,4 @@ __all__ = [
     "RspnConfig",
     "SPNEnsemble",
     "learn_ensemble",
-    "load_ensemble",
-    "save_ensemble",
 ]

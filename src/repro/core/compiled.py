@@ -1065,28 +1065,6 @@ def import_tree_arrays(meta, arrays):
     return nodes[int(meta["root_row"])]
 
 
-# Per-root ``id(node) -> post-order row`` maps.  Updates never change
-# structure, so the map stays valid for the life of the tree; keyed
-# weakly by root so it dies with its owner (the root keeps every node
-# alive, so the stored ids cannot be recycled while the entry lives).
-_ROW_INDEX: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def row_index(root) -> dict:
-    """Cached ``id(node) -> post-order row`` map of a tree.
-
-    The batch applier (:mod:`repro.core.updates`) uses it to name the
-    nodes it touched by their canonical rows.
-    """
-    index = _ROW_INDEX.get(root)
-    if index is None:
-        index = {
-            id(node): i for i, node in enumerate(_post_order(root))
-        }
-        _ROW_INDEX[root] = index
-    return index
-
-
 def post_order(root):
     """The tree's nodes in post order (children before parents).
 

@@ -1,10 +1,10 @@
 """Memory-mapped model store: the specpack blob layout as persistence.
 
-The JSON format in :mod:`repro.core.serialization` rebuilds a Python
-node tree element by element -- cold start is O(model).  A store file
-is a small JSON header followed by, per RSPN, one specpack blob of flat
-tree arrays (:func:`repro.core.compiled.export_tree_arrays`) *plus the
-compiled sweep plan's tape*
+The store is the one on-disk format for a learned ensemble.  A file is
+a small JSON header (relational metadata encoded by
+:mod:`repro.core.serialization`) followed by, per RSPN, one specpack
+blob of flat tree arrays (:func:`repro.core.compiled.export_tree_arrays`)
+*plus the compiled sweep plan's tape*
 (:func:`repro.core.compiled.plan_store_payload`) and a separate routing
 section.  Loading mmaps the file, restores the compiled form straight
 from the persisted tape (O(plan ops), not O(nodes)), and answers

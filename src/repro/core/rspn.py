@@ -309,11 +309,9 @@ class RSPN:
     def commit_batch(self, pending):
         """Publish a staged batch: one generation bump for the whole
         batch, size bookkeeping replayed per tuple exactly as the
-        serial :meth:`insert`/:meth:`delete` would have.  Returns the
-        :class:`repro.core.updates.BatchDelta` of touched rows
-        (``None`` for an empty batch)."""
+        serial :meth:`insert`/:meth:`delete` would have."""
         batch, signs = pending
-        delta = batch.commit()
+        batch.commit()
         for sign in signs:
             if sign > 0:
                 self.sample_size += 1
@@ -328,13 +326,12 @@ class RSPN:
                 )
                 self.sample_size = max(0.0, self.sample_size - 1)
                 self.full_size = max(0.0, self.full_size - growth)
-        return delta
 
     def apply_batch(self, ops):
         """Stage and immediately commit ``(row, sign)`` updates; the
         single-caller convenience over
         :meth:`stage_batch`/:meth:`commit_batch`."""
-        return self.commit_batch(self.stage_batch(ops))
+        self.commit_batch(self.stage_batch(ops))
 
     def __repr__(self):
         counts = self.node_counts()

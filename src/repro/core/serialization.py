@@ -1,43 +1,33 @@
-"""Persistence for RSPNs and ensembles (save / load without retraining).
+"""The model store's metadata codec.
 
-The paper treats RSPN ensembles like indexes: built offline, used at
-runtime, maintained incrementally.  An index that cannot survive a
-process restart is of little use, so this module serialises everything a
-learned ensemble holds -- node trees, leaf histograms, KMeans routing
-state, functional-dependency dictionaries, RDC caches -- into a plain
-JSON document.  JSON (rather than pickle) keeps the format inspectable,
-diff-able and independent of Python class layout.
+A store file (:mod:`repro.core.modelstore`) ships each RSPN's node tree
+as flat specpack arrays; everything else a learned ensemble holds --
+column names, table sets, sizes, learning config, functional-dependency
+dictionaries, internal join edges, per-sum-node KMeans routing state,
+and the ensemble's RDC caches -- rides alongside as plain JSON built
+here.  JSON (rather than pickle) keeps that metadata inspectable and
+independent of Python class layout; non-finite floats are encoded
+explicitly (NaN -> ``None``, +/-inf -> ``"inf"``/``"-inf"``).
 
-The database itself is *not* serialised: a loaded ensemble is re-attached
+The database itself is *not* persisted: a loaded ensemble is re-attached
 to a :class:`~repro.engine.table.Database` the same way a rebuilt DBMS
 re-opens its base tables before its indexes.
-
-Usage::
-
-    save_ensemble(ensemble, "ensemble.json")
-    ensemble = load_ensemble("ensemble.json", database)
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from repro.core.ensemble import SPNEnsemble
-from repro.core.leaves import BinnedLeaf, DiscreteLeaf
-from repro.core.nodes import ProductNode, SumNode
 from repro.core.rspn import RSPN, FunctionalDependency, RspnConfig
 from repro.schema.schema import ForeignKey
 from repro.stats.kmeans import KMeans
 
-FORMAT_NAME = "repro-rspn"
-FORMAT_VERSION = 1
-
 
 class SerializationError(RuntimeError):
-    """Raised when a document cannot be decoded into a model."""
+    """Raised when model state cannot be encoded (e.g. an unfitted KMeans)."""
 
 
 # ----------------------------------------------------------------------
@@ -114,86 +104,7 @@ def _decode_kmeans(document):
 
 
 # ----------------------------------------------------------------------
-# Node trees
-# ----------------------------------------------------------------------
-
-
-def node_to_dict(node):
-    """Recursively encode an SPN node tree."""
-    if isinstance(node, SumNode):
-        return {
-            "type": "sum",
-            "scope": list(node.scope),
-            "counts": _encode_array(node.counts),
-            "kmeans": _encode_kmeans(node.kmeans),
-            "children": [node_to_dict(child) for child in node.children],
-        }
-    if isinstance(node, ProductNode):
-        return {
-            "type": "product",
-            "scope": list(node.scope),
-            "children": [node_to_dict(child) for child in node.children],
-        }
-    if isinstance(node, DiscreteLeaf):
-        return {
-            "type": "discrete_leaf",
-            "scope_index": node.scope_index,
-            "attribute": node.attribute,
-            "values": _encode_array(node.values),
-            "counts": _encode_array(node.counts),
-            "null_count": node.null_count,
-        }
-    if isinstance(node, BinnedLeaf):
-        return {
-            "type": "binned_leaf",
-            "scope_index": node.scope_index,
-            "attribute": node.attribute,
-            "edges": _encode_array(node.edges),
-            "counts": _encode_array(node.counts),
-            "sums": _encode_array(node.sums),
-            "distinct": _encode_array(node.distinct),
-            "null_count": node.null_count,
-        }
-    raise SerializationError(f"cannot serialise node type {type(node)!r}")
-
-
-def node_from_dict(document):
-    """Recursively decode an SPN node tree."""
-    kind = document.get("type")
-    if kind == "sum":
-        children = [node_from_dict(child) for child in document["children"]]
-        return SumNode(
-            tuple(document["scope"]),
-            children,
-            _decode_array(document["counts"]),
-            kmeans=_decode_kmeans(document["kmeans"]),
-        )
-    if kind == "product":
-        children = [node_from_dict(child) for child in document["children"]]
-        return ProductNode(tuple(document["scope"]), children)
-    if kind == "discrete_leaf":
-        return DiscreteLeaf(
-            document["scope_index"],
-            document["attribute"],
-            _decode_array(document["values"]),
-            _decode_array(document["counts"]),
-            document["null_count"],
-        )
-    if kind == "binned_leaf":
-        return BinnedLeaf(
-            document["scope_index"],
-            document["attribute"],
-            _decode_array(document["edges"]),
-            _decode_array(document["counts"]),
-            _decode_array(document["sums"]),
-            _decode_array(document["distinct"]),
-            document["null_count"],
-        )
-    raise SerializationError(f"unknown node type {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# RSPNs
+# RSPN metadata (the tree itself ships as flat specpack arrays)
 # ----------------------------------------------------------------------
 
 
@@ -243,48 +154,8 @@ def _decode_edge(document):
     return ForeignKey(**document)
 
 
-def rspn_to_dict(rspn: RSPN):
-    """Encode one RSPN (tree + relational metadata) as a plain dict."""
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "column_names": list(rspn.column_names),
-        "tables": sorted(rspn.tables),
-        "full_size": rspn.full_size,
-        "sample_size": rspn.sample_size,
-        "internal_edges": [_encode_edge(fk) for fk in rspn.internal_edges],
-        "functional_dependencies": [
-            _encode_fd(fd) for fd in rspn.functional_dependencies.values()
-        ],
-        "config": _encode_config(rspn.config),
-        "root": node_to_dict(rspn.root),
-    }
-
-
-def rspn_from_dict(document):
-    """Decode a dict produced by :func:`rspn_to_dict`."""
-    _check_header(document)
-    return RSPN(
-        root=node_from_dict(document["root"]),
-        column_names=document["column_names"],
-        tables=set(document["tables"]),
-        full_size=document["full_size"],
-        sample_size=document["sample_size"],
-        internal_edges=[_decode_edge(e) for e in document["internal_edges"]],
-        functional_dependencies=[
-            _decode_fd(fd) for fd in document["functional_dependencies"]
-        ],
-        config=_decode_config(document["config"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# Store-format metadata (tree shipped separately as flat arrays)
-# ----------------------------------------------------------------------
-
-
 def rspn_metadata_to_dict(rspn: RSPN):
-    """Everything :func:`rspn_to_dict` carries *except* the node tree.
+    """One RSPN's relational metadata: everything but the node tree.
 
     The model store persists the tree itself as a specpack blob of flat
     arrays (``compiled.export_tree_arrays``); this function captures the
@@ -383,89 +254,3 @@ def apply_ensemble_metadata(ensemble, document):
     }
     ensemble.training_seconds = document["training_seconds"]
     ensemble.rspn_training_seconds = list(document["rspn_training_seconds"])
-
-
-# ----------------------------------------------------------------------
-# Ensembles
-# ----------------------------------------------------------------------
-
-
-def ensemble_to_dict(ensemble: SPNEnsemble):
-    """Encode an ensemble: RSPNs plus correlation metadata."""
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "rspns": [rspn_to_dict(rspn) for rspn in ensemble.rspns],
-        "attribute_rdc": [
-            [sorted(pair)[0], sorted(pair)[1], value]
-            for pair, value in sorted(
-                ensemble.attribute_rdc.items(), key=lambda kv: sorted(kv[0])
-            )
-        ],
-        "table_dependency": [
-            [sorted(pair)[0], sorted(pair)[1], value]
-            for pair, value in sorted(
-                ensemble.table_dependency.items(), key=lambda kv: sorted(kv[0])
-            )
-        ],
-        "training_seconds": ensemble.training_seconds,
-        "rspn_training_seconds": list(ensemble.rspn_training_seconds),
-    }
-
-
-def ensemble_from_dict(document, database):
-    """Decode an ensemble dict, re-attaching it to ``database``."""
-    _check_header(document)
-    ensemble = SPNEnsemble(database)
-    for rspn_doc in document["rspns"]:
-        ensemble.rspns.append(rspn_from_dict(rspn_doc))
-    ensemble.attribute_rdc = {
-        frozenset((a, b)): value for a, b, value in document["attribute_rdc"]
-    }
-    ensemble.table_dependency = {
-        frozenset((a, b)): value for a, b, value in document["table_dependency"]
-    }
-    ensemble.training_seconds = document["training_seconds"]
-    ensemble.rspn_training_seconds = list(document["rspn_training_seconds"])
-    return ensemble
-
-
-# ----------------------------------------------------------------------
-# File I/O
-# ----------------------------------------------------------------------
-
-
-def save_rspn(rspn, path):
-    """Write one RSPN to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(rspn_to_dict(rspn), handle)
-
-
-def load_rspn(path):
-    """Read one RSPN from a JSON file."""
-    with open(path) as handle:
-        return rspn_from_dict(json.load(handle))
-
-
-def save_ensemble(ensemble, path):
-    """Write a full ensemble to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(ensemble_to_dict(ensemble), handle)
-
-
-def load_ensemble(path, database):
-    """Read an ensemble from a JSON file and attach it to ``database``."""
-    with open(path) as handle:
-        return ensemble_from_dict(json.load(handle), database)
-
-
-def _check_header(document):
-    if document.get("format") != FORMAT_NAME:
-        raise SerializationError(
-            f"not a {FORMAT_NAME} document: format={document.get('format')!r}"
-        )
-    if document.get("version") != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported version {document.get('version')!r} "
-            f"(expected {FORMAT_VERSION})"
-        )

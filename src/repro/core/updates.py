@@ -61,23 +61,6 @@ def _update(node, row, sign):
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-class BatchDelta:
-    """What one committed :class:`TreeBatch` touched.
-
-    ``sum_rows`` / ``leaf_rows`` are canonical post-order rows
-    (:func:`repro.core.compiled.row_index`) of the touched nodes.
-    ``generation`` is the root's generation after the commit.
-    """
-
-    __slots__ = ("sum_rows", "leaf_rows", "tuples", "generation")
-
-    def __init__(self, sum_rows, leaf_rows, tuples, generation):
-        self.sum_rows = sum_rows
-        self.leaf_rows = leaf_rows
-        self.tuples = tuples
-        self.generation = generation
-
-
 class TreeBatch:
     """Copy-on-write staging of many tuple updates against one tree.
 
@@ -175,19 +158,14 @@ class TreeBatch:
     def commit(self):
         """Publish the shadows and bump the generation once.
 
-        Returns the :class:`BatchDelta` of touched post-order rows
-        (``None`` for an empty batch: no mutation, no bump).  The batch
-        is spent afterwards; stage into a fresh one.
+        An empty batch is a no-op (no mutation, no bump).  The batch is
+        spent afterwards; stage into a fresh one.
         """
         if not self.staged:
-            return None
-        index = compiled.row_index(self.root)
-        sum_rows = []
+            return
         for node, counts in self._sums.values():
             node.counts = counts
             node._weights = None
-            sum_rows.append(index[id(node)])
-        leaf_rows = []
         for node, shadow in self._leaves.values():
             if isinstance(node, DiscreteLeaf):
                 node.values = shadow.values
@@ -196,12 +174,7 @@ class TreeBatch:
                 node.counts = shadow.counts
                 node.sums = shadow.sums
             node.null_count = shadow.null_count
-            leaf_rows.append(index[id(node)])
-        generation = compiled.refresh_weights(self.root)
-        delta = BatchDelta(
-            sorted(sum_rows), sorted(leaf_rows), self.staged, generation
-        )
+        compiled.refresh_weights(self.root)
         self.staged = 0
         self._sums = {}
         self._leaves = {}
-        return delta

@@ -15,6 +15,8 @@ The resulting object serves the runtime tasks:
 
 from __future__ import annotations
 
+import os
+
 from repro.core import kernels
 from repro.core.compilation import ProbabilisticQueryCompiler
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
@@ -67,8 +69,8 @@ class DeepDB:
                 self.compiler, corrector, database=database
             )
         # The mmapped ModelStore backing this ensemble, when it was
-        # loaded from a store file; None for learned / JSON-loaded
-        # models.  close() releases it deterministically.
+        # loaded from a store file; None for learned models.  close()
+        # releases it deterministically.
         self._store = store
         # Plan cache (repro.optimizer.plancache): True builds one keyed
         # on this database's featurized query shapes; a prebuilt
@@ -135,33 +137,22 @@ class DeepDB:
         """The backing :class:`~repro.core.modelstore.ModelStore`, if any."""
         return self._store
 
-    def save(self, path, format="store"):
+    def save(self, path):
         """Persist the learned ensemble (not the data) to ``path``.
 
-        ``format="store"`` (default) writes the mmap-able model store
-        (:mod:`repro.core.modelstore`): flat specpack blobs, checksummed,
-        millisecond cold start.  ``format="json"`` writes the legacy
-        JSON document -- inspectable and diff-able, but O(model) to
-        load; keep it for debugging and portability.
+        Writes the mmap-able model store (:mod:`repro.core.modelstore`):
+        flat specpack blobs, checksummed, millisecond cold start.
         """
-        if format == "store":
-            from repro.core.modelstore import write_store
+        from repro.core.modelstore import write_store
 
-            write_store(self.ensemble, path,
-                        corrector=self._corrector_state())
-        elif format == "json":
-            from repro.core.serialization import save_ensemble
-
-            save_ensemble(self.ensemble, path)
-        else:
-            raise ValueError(f"unknown save format {format!r}")
+        write_store(self.ensemble, path, corrector=self._corrector_state())
 
     def _corrector_state(self):
         """The corrector document to persist alongside the ensemble.
 
         A live fitted corrector wins; otherwise the document this model
-        was loaded with is carried forward, so converting or re-saving a
-        store never silently drops trained corrector state.
+        was loaded with is carried forward, so re-saving a store never
+        silently drops trained corrector state.
         """
         if self.feedback is not None and self.feedback.corrector is not None \
                 and self.feedback.corrector.fitted:
@@ -173,47 +164,36 @@ class DeepDB:
              plan_cache=True):
         """Re-open a persisted ensemble against its database.
 
-        The file's magic bytes decide the decode path: model-store files
-        are mmapped (O(metadata) cold start, histograms stay on disk
-        until touched); anything else goes through the legacy JSON
-        loader with a one-line slow-path warning.
+        The store is mmapped (O(metadata) cold start, histograms stay on
+        disk until touched).  A missing file raises
+        :class:`FileNotFoundError`; any other file that is not a store
+        raises :class:`~repro.core.modelstore.ModelStoreError`.
 
         With ``corrector`` set, a corrector section persisted in the
         store (``DeepDB.save`` after training) is restored, so a
         restarted server keeps correcting exactly as it did before.
         """
-        from repro.core.modelstore import is_store_file, open_store
+        from repro.core.modelstore import open_store
 
         kernels.check(kernel)  # before the store is mapped
-        if is_store_file(path):
-            store = open_store(path)
-            try:
-                ensemble = store.load_ensemble(database)
-                document = store.corrector_document()
-            except BaseException:
-                store.close()
-                raise
-            instance = cls(database, ensemble, kernel=kernel, store=store,
-                           corrector=corrector, plan_cache=plan_cache)
-            instance._corrector_document = document
-            if document is not None and instance.feedback is not None:
-                from repro.feedback import ResidualCorrector
+        os.stat(path)  # open_store reports every OSError as ModelStoreError
+        store = open_store(path)
+        try:
+            ensemble = store.load_ensemble(database)
+            document = store.corrector_document()
+        except BaseException:
+            store.close()
+            raise
+        instance = cls(database, ensemble, kernel=kernel, store=store,
+                       corrector=corrector, plan_cache=plan_cache)
+        instance._corrector_document = document
+        if document is not None and instance.feedback is not None:
+            from repro.feedback import ResidualCorrector
 
-                instance.feedback.adopt_corrector(
-                    ResidualCorrector.from_document(document, database=database)
-                )
-            return instance
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "%s is not a model store file; falling back to the legacy JSON "
-            "loader (slow path -- re-save with format='store' for "
-            "millisecond cold start)", path,
-        )
-        from repro.core.serialization import load_ensemble
-
-        return cls(database, load_ensemble(path, database), kernel=kernel,
-                   corrector=corrector, plan_cache=plan_cache)
+            instance.feedback.adopt_corrector(
+                ResidualCorrector.from_document(document, database=database)
+            )
+        return instance
 
     # ------------------------------------------------------------------
     # Runtime tasks

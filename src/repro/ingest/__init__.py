@@ -9,8 +9,8 @@ inserts/deletes without ever blocking readers:
 - :class:`~repro.ingest.applier.BatchApplier` -- the worker thread that
   drains the queue into :meth:`ModelSession.apply_batch
   <repro.serving.session.ModelSession.apply_batch>`: one copy-on-write
-  staged batch, one generation bump per touched RSPN, and a leaf-delta
-  patch (not a whole-tree republish) to shard workers;
+  staged commit per batch and one generation bump per touched RSPN,
+  its compiled form patched in place rather than rebuilt;
 - :class:`~repro.ingest.monitor.DriftMonitor` -- the background thread
   running :func:`repro.core.maintenance.check_structure_drift` on a
   cadence and shadow-rebuilding drifted RSPNs, committing each swap

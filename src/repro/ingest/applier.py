@@ -3,9 +3,9 @@
 One worker thread per (queue, session) pair.  Each drained batch becomes
 one :meth:`ModelSession.apply_batch
 <repro.serving.session.ModelSession.apply_batch>` call: staging runs
-against copy-on-write shadows while readers keep answering, the commit
-is one short exclusive section per flush, and shard workers receive one
-leaf-delta patch per touched RSPN instead of N whole-tree republishes.
+against copy-on-write shadows while readers keep answering, and the
+commit is one short exclusive section per flush with one generation
+bump per touched RSPN instead of one per op.
 Rejected ops (unknown table/column) are counted, not fatal -- the stream
 keeps flowing around them.
 """

@@ -13,8 +13,8 @@ RSPNs "in the background, as for traditional indexes" -- runs here:
 3. the finished replacements are swapped in atomically under the owning
    session's write lock (:func:`repro.core.maintenance.commit_refresh`
    -> :meth:`SPNEnsemble.replace`), which keeps the ensemble generation
-   strictly monotonic -- result caches, plan caches and shard workers
-   all invalidate through the ordinary generation machinery.
+   strictly monotonic -- result caches and plan caches all invalidate
+   through the ordinary generation machinery.
 """
 
 from __future__ import annotations

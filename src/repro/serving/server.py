@@ -138,9 +138,9 @@ class AsyncDeepDB:
 
         Temporally-close updates flush as one
         :meth:`~repro.serving.session.ModelSession.apply_batch`: staged
-        against copy-on-write shadows while readers keep answering,
-        committed with one generation bump per touched RSPN, and shipped
-        to shard workers as a leaf-delta patch.  A rejected op (unknown
+        against copy-on-write shadows while readers keep answering, then
+        committed as one staged commit with one generation bump per
+        touched RSPN.  A rejected op (unknown
         table/column) raises only for its own caller -- the per-slot
         coalescer contract."""
         if op not in ("insert", "delete"):

@@ -98,7 +98,7 @@ class TestCliTree:
             def text(self):
                 return "".join(self.chunks)
 
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.rspn"
         out = _Capture()
         assert main(
             [

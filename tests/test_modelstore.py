@@ -126,30 +126,29 @@ class TestRoundTrip:
         finally:
             loaded.close()
 
-    def test_json_fallback_with_slow_path_warning(
-        self, live, database, expected, tmp_path, caplog
-    ):
-        path = tmp_path / "model.json"
-        live.save(path, format="json")
-        assert not is_store_file(path)
-        with caplog.at_level("WARNING", logger="repro.deepdb"):
-            loaded = DeepDB.load(path, database)
-        assert any("slow path" in record.message for record in caplog.records)
-        _assert_bit_identical(_answers(loaded), expected)
-        assert loaded.store is None
+    def test_non_store_files_rejected(self, live, database, tmp_path):
+        """Only the store loads: a JSON model document, an empty file and
+        random bytes each fail with ModelStoreError (a missing file stays
+        FileNotFoundError)."""
+        document = tmp_path / "model.json"
+        document.write_text(json.dumps({"format": "repro-rspn", "rspns": []}))
+        empty = tmp_path / "empty.rspn"
+        empty.write_bytes(b"")
+        noise = tmp_path / "noise.rspn"
+        noise.write_bytes(np.random.default_rng(0).bytes(4096))
+        for path in (document, empty, noise):
+            with pytest.raises(ModelStoreError):
+                DeepDB.load(path, database)
+        with pytest.raises(FileNotFoundError):
+            DeepDB.load(tmp_path / "absent.rspn", database)
 
-    def test_unknown_save_format_rejected(self, live, tmp_path):
-        with pytest.raises(ValueError, match="unknown save format"):
-            live.save(tmp_path / "x", format="pickle")
-
-    def test_routing_state_survives(self, live, store_path, database, tmp_path):
+    def test_routing_state_survives(self, store_path, database, expected):
         """Updates after a store load route through the same persisted
-        KMeans state as updates on a JSON-loaded twin -- the two paths
-        must stay bit-identical even after mutation."""
-        json_path = tmp_path / "twin.json"
-        live.save(json_path, format="json")
+        KMeans state as updates on a live learned twin -- the two must
+        stay bit-identical even after mutation."""
+        twin = DeepDB.learn(database, EnsembleConfig(sample_size=4_000))
+        _assert_bit_identical(_answers(twin), expected)
         from_store = DeepDB.load(store_path, database)
-        from_json = DeepDB.load(json_path, database)
         try:
             rows = [
                 {"c_id": 900_000 + i, "region": "EU", "age": 20.0 + i}
@@ -157,11 +156,10 @@ class TestRoundTrip:
             ]
             for row in rows:
                 from_store.insert("customer", row)
-                from_json.insert("customer", row)
-            _assert_bit_identical(_answers(from_store), _answers(from_json))
+                twin.insert("customer", row)
+            _assert_bit_identical(_answers(from_store), _answers(twin))
         finally:
             from_store.close()
-            from_json.close()
 
 
 class TestLazyLeafSlots:
@@ -577,27 +575,3 @@ class TestCli:
         output = capsys.readouterr().out
         assert "CORRUPT" in output
         assert "checksums OK" in output  # the good one still listed
-
-    def test_save_converts_between_formats(
-        self, store_path, database, expected, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        json_path = tmp_path / "model.json"
-        back_path = tmp_path / "back.rspn"
-        assert main(
-            ["save", "--model", str(store_path), "--out", str(json_path),
-             "--format", "json"]
-        ) == 0
-        assert not is_store_file(json_path)
-        json.load(open(json_path))  # well-formed legacy document
-        assert main(
-            ["save", "--model", str(json_path), "--out", str(back_path)]
-        ) == 0
-        assert is_store_file(back_path)
-        roundtripped = DeepDB.load(back_path, database)
-        try:
-            _assert_bit_identical(_answers(roundtripped), expected)
-        finally:
-            roundtripped.close()
-        capsys.readouterr()

@@ -89,7 +89,7 @@ class _Capture:
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "model.json"
+    path = tmp_path_factory.mktemp("cli") / "model.rspn"
     out = _Capture()
     code = main(
         [
