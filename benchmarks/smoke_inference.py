@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -142,22 +143,23 @@ def main():
 
 
 def _smoke_kernels(database, ensemble, queries, compiler, reference):
-    """Kernel smoke: the fused sweep ``==`` its legacy oracle.
+    """Kernel smoke: the fused sweep ``==`` its reference oracle.
 
-    Replays the 40-query workload under the ``legacy`` reference sweep
-    and requires the answers to be **bit-identical** (``==``) to the
-    fused batch, not merely close.
+    Replays the 40-query workload under the test suite's reference
+    sweep (``tests/reference_sweep.py``) and requires the answers to be
+    **bit-identical** (``==``) to the fused batch, not merely close.
     """
-    from repro.core import kernels
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.reference_sweep import reference_sweep
 
     start = time.perf_counter()
-    with kernels.use("legacy"):
+    with reference_sweep():
         answers = compiler.cardinality_batch(queries)
     if answers != reference:
-        print("FAIL: legacy answers are not bit-identical to the fused "
+        print("FAIL: reference answers are not bit-identical to the fused "
               "sweep")
         return 1
-    print(f"OK: fused sweep bit-identical to the legacy oracle on "
+    print(f"OK: fused sweep bit-identical to the reference oracle on "
           f"{len(queries)} queries ({time.perf_counter() - start:.1f}s)")
     return 0
 

@@ -15,10 +15,9 @@ Lowering (:class:`CompiledRSPN`):
   precedes its parent -- so one forward pass over the order is a valid
   bottom-up evaluation.  The root is the last row.
 - Internal nodes are grouped by **height** (leaves = 0, parent = 1 + max
-  child height), giving a level schedule where every level only reads
-  rows produced by strictly lower levels.
-- On top of that schedule a **fused sweep plan** (:class:`_FusedPlan`)
-  is computed at compile time:
+  child height), and from that level schedule -- every level only reads
+  rows of strictly lower levels -- a **fused sweep plan**
+  (:class:`_FusedPlan`) is computed at compile time:
 
   * nodes of one (level, kind) become one *op* whose segments are
     sorted by descending child count, so the op's position-``p`` slice
@@ -42,10 +41,11 @@ Lowering (:class:`CompiledRSPN`):
 
 Accumulation order is **pinned** (see :mod:`repro.core.kernels`): sum
 and product nodes accumulate children left to right with the weight
-multiply rounding before the add.  The fused executor and the
-``legacy`` full-matrix sweep (a test-only reference oracle) perform
-those same elementwise operations in the same order, which is what
-makes the two bit-identical (``==``).
+multiply rounding before the add.  The test suite's reference sweep
+(``tests/reference_sweep.py``: a full ``(n_nodes, n_queries)`` matrix,
+per-leaf fills) performs those same elementwise operations in the same
+order, which is what makes the fused sweep bit-identical (``==``) to
+it.
 
 Batched evaluation (:meth:`CompiledRSPN.evaluate_batch`):
 
@@ -65,7 +65,7 @@ Batched evaluation (:meth:`CompiledRSPN.evaluate_batch`):
   dense count matrix, row-wise prefix sums) built lazily on the
   scope's first touch and cached on the compiled form, instead of one
   ``evaluate_batch`` call per leaf -- bit-identical to the per-leaf
-  kernel, which the ``legacy`` sweep keeps using as the oracle.
+  kernel, which the reference sweep keeps using as the oracle.
   ``BinnedLeaf`` rows keep the per-leaf path.
 - Large batches are evaluated in bounded-memory chunks that *reuse* one
   leased arena (no per-chunk allocation; ``arena_allocations`` counts
@@ -99,62 +99,12 @@ from repro.core.nodes import LeafNode, ProductNode, SumNode
 
 # Soft cap on the size (floats) of one chunk's working set; batches are
 # split into chunks of ``max(16, _CHUNK_BUDGET // rows)`` queries where
-# ``rows`` is the sweep's row footprint (``n_nodes`` for the legacy
-# full-matrix kernel, ``arena_rows + stage_rows`` for the fused ones --
-# the arena being much smaller, fused chunks are correspondingly wider
-# for the same memory budget).
+# ``rows`` is the sweep's row footprint, ``arena_rows + stage_rows``.
 _CHUNK_BUDGET = 8_000_000
 
 # Leased (arena, stage) buffer pairs kept per compiled form for reuse
 # across batches (and across concurrent serving readers).
 _ARENA_POOL_CAP = 4
-
-
-def _positions(starts, total):
-    """Per-position index arrays for one level's segment list.
-
-    ``starts`` are segment offsets into a flat child array of length
-    ``total``.  Returns, for each child position ``p``, the segment
-    indices that have a ``p``-th child and the flat offsets of those
-    children -- the access pattern of the pinned left-to-right
-    accumulation (the legacy kernel's replacement for ``reduceat``,
-    whose intra-segment order is a SIMD implementation detail).
-    """
-    counts = np.diff(np.append(starts, total))
-    out = []
-    for p in range(int(counts.max()) if counts.size else 0):
-        segs = np.flatnonzero(counts > p).astype(np.intp)
-        out.append((segs, (starts[segs] + p).astype(np.intp)))
-    return out
-
-
-class _Level:
-    """All internal nodes of one height, split by kind, as flat arrays."""
-
-    __slots__ = (
-        "sum_rows", "sum_starts", "sum_child_index", "sum_weights", "sum_pos",
-        "prod_rows", "prod_starts", "prod_child_index", "prod_pos",
-    )
-
-    def __init__(self, sums, products, index_of):
-        self.sum_rows = np.array([index_of[id(n)] for n in sums], dtype=np.intp)
-        self.prod_rows = np.array([index_of[id(n)] for n in products], dtype=np.intp)
-        sum_children, sum_starts, sum_weights = [], [], []
-        for node in sums:
-            sum_starts.append(len(sum_children))
-            sum_children.extend(index_of[id(c)] for c in node.children)
-            sum_weights.extend(node.weights)
-        self.sum_starts = np.array(sum_starts, dtype=np.intp)
-        self.sum_child_index = np.array(sum_children, dtype=np.intp)
-        self.sum_weights = np.array(sum_weights, dtype=float)
-        prod_children, prod_starts = [], []
-        for node in products:
-            prod_starts.append(len(prod_children))
-            prod_children.extend(index_of[id(c)] for c in node.children)
-        self.prod_starts = np.array(prod_starts, dtype=np.intp)
-        self.prod_child_index = np.array(prod_children, dtype=np.intp)
-        self.sum_pos = _positions(self.sum_starts, self.sum_child_index.shape[0])
-        self.prod_pos = _positions(self.prod_starts, self.prod_child_index.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +213,11 @@ class _FusedPlan:
         # Per-op node back-references in segment order (sum ops only;
         # None for products): what refresh_weights() walks to re-bake
         # pos_weights after a batch of count mutations without a full
-        # replan.  Tape-restored plans have no nodes (op_nodes is None
-        # there) and fall back to a full recompile.
+        # replan.  Weak, because the root may be one of them and the
+        # form is cached under its root as a weak key: a strong
+        # reference would keep both alive forever.  Tape-restored plans
+        # have no nodes (op_nodes is None there) and fall back to a
+        # full recompile.
         self.op_nodes = []
         max_height = max(heights) if heights else 0
         n = len(order)
@@ -316,7 +269,7 @@ class _FusedPlan:
                     _FusedOp(is_sum, dst_lo, n_seg, pos_slots, pos_weights)
                 )
                 self.op_nodes.append(
-                    [node for _, node in segs] if is_sum else None
+                    [weakref.ref(node) for _, node in segs] if is_sum else None
                 )
         self.root_slot = slot_of[root_row]
         self.arena_rows = max(alloc.size, 1)
@@ -391,7 +344,7 @@ class _FusedPlan:
             for p in range(len(op.pos_slots)):
                 k = op.pos_slots[p].shape[0]
                 weights = np.array(
-                    [float(nodes[s].weights[p]) for s in range(k)],
+                    [float(nodes[s]().weights[p]) for s in range(k)],
                     dtype=float,
                 )
                 op.pos_weights[p] = weights[:, None]
@@ -470,10 +423,9 @@ class CompiledRSPN:
     """A node tree lowered to topologically-ordered flat arrays."""
 
     def __init__(self, root):
-        order = _post_order(root)
+        order = post_order(root)
         index_of = {id(node): i for i, node in enumerate(order)}
         self.n_nodes = len(order)
-        self.root_row = index_of[id(root)]
         # Root generation this form was lowered at; maintained by
         # :func:`compiled_for` for its staleness check.
         self.generation = 0
@@ -483,35 +435,7 @@ class CompiledRSPN:
             if isinstance(node, (SumNode, ProductNode)):
                 heights[i] = 1 + max(heights[index_of[id(c)]] for c in node.children)
 
-        self._leaf_at = {
-            i: node for i, node in enumerate(order) if isinstance(node, LeafNode)
-        }
-        self.leaf_rows_by_scope: dict[int, tuple] = {}
-        for row, leaf in self._leaf_at.items():
-            self.leaf_rows_by_scope.setdefault(leaf.scope_index, []).append(row)
-        self.leaf_rows_by_scope = {
-            scope: tuple(rows) for scope, rows in self.leaf_rows_by_scope.items()
-        }
-
-        max_height = max(heights) if heights else 0
-        self.levels = []
-        # Per-level sum-node lists (same order _Level bakes sum_weights
-        # in), kept so refresh_weights() can re-bake the legacy sweep's
-        # weight arrays without re-lowering.
-        self._level_sums = []
-        for height in range(1, max_height + 1):
-            sums = [
-                order[i] for i in range(self.n_nodes)
-                if heights[i] == height and isinstance(order[i], SumNode)
-            ]
-            products = [
-                order[i] for i in range(self.n_nodes)
-                if heights[i] == height and isinstance(order[i], ProductNode)
-            ]
-            self.levels.append(_Level(sums, products, index_of))
-            self._level_sums.append(sums)
-
-        self.plan = _FusedPlan(order, index_of, heights, self.root_row)
+        self.plan = _FusedPlan(order, index_of, heights, index_of[id(root)])
 
         self._scope_tables: dict = {}
         # Arena pool + sweep telemetry (kernel_stats / serving /stats).
@@ -530,9 +454,7 @@ class CompiledRSPN:
 
         Returns an array of ``len(specs)`` values
         ``E[ prod_i h_i(X_i) * 1_{X_i in R_i} ]``, one per spec; specs
-        with an empty selection evaluate to exactly ``0.0``.  Inside
-        ``kernels.use("legacy")`` the reference sweep runs instead,
-        bit-identically.
+        with an empty selection evaluate to exactly ``0.0``.
         """
         results = np.zeros(len(specs), dtype=float)
         live = [
@@ -541,13 +463,6 @@ class CompiledRSPN:
             if not spec.is_empty_selection()
         ]
         if not live:
-            return results
-        if kernels.resolve() == "legacy":
-            chunk = max(16, _CHUNK_BUDGET // max(self.n_nodes, 1))
-            for start in range(0, len(live), chunk):
-                part = live[start:start + chunk]
-                values = self._sweep_legacy([spec for _, spec in part])
-                results[[col for col, _ in part]] = values
             return results
         rows = self.plan.arena_rows + self.plan.stage_rows
         chunk = max(16, _CHUNK_BUDGET // max(rows, 1))
@@ -609,41 +524,6 @@ class CompiledRSPN:
         self.sweep_ns += time.perf_counter_ns() - started
         return out
 
-    def _sweep_legacy(self, specs):
-        """The pre-fusion reference sweep: full ``(n_nodes, n_queries)``
-        matrix, per-leaf-row fills, per-level gathers -- with the same
-        pinned left-to-right accumulation as the fused sweep, so it
-        stays bit-identical; the tests' reference oracle."""
-        started = time.perf_counter_ns()
-        n_queries = len(specs)
-        values = np.ones((self.n_nodes, n_queries), dtype=float)
-        for row, qcols in self._touched_leaves(specs).items():
-            self._fill_leaf_row(values, row, qcols, specs)
-        for level in self.levels:
-            if level.prod_rows.size:
-                segs0, flat0 = level.prod_pos[0]
-                out = values[level.prod_child_index[flat0]]
-                for segs, flat in level.prod_pos[1:]:
-                    out[segs] *= values[level.prod_child_index[flat]]
-                values[level.prod_rows] = out
-            if level.sum_rows.size:
-                segs0, flat0 = level.sum_pos[0]
-                out = (
-                    values[level.sum_child_index[flat0]]
-                    * level.sum_weights[flat0][:, None]
-                )
-                for segs, flat in level.sum_pos[1:]:
-                    out[segs] += (
-                        values[level.sum_child_index[flat]]
-                        * level.sum_weights[flat][:, None]
-                    )
-                values[level.sum_rows] = out
-        result = values[self.root_row]
-        self.sweep_count += 1
-        self.sweep_queries += n_queries
-        self.sweep_ns += time.perf_counter_ns() - started
-        return result
-
     # ------------------------------------------------------------------
     # Leaf filling
     # ------------------------------------------------------------------
@@ -661,10 +541,9 @@ class CompiledRSPN:
         """Fill every touched leaf row of the arena.
 
         The ``(range, transform)`` dedup runs **once per scope** -- all
-        leaf rows of a scope see identical pairs, the legacy per-row
-        dedup recomputed (and re-hashed) them for every row -- and the
-        flattened interval arrays are shared across the scope's rows
-        via :class:`~repro.core.leaves.PreparedBatch`.  The scope's
+        leaf rows of a scope see identical pairs -- and the flattened
+        interval arrays are shared across the scope's rows via
+        :class:`~repro.core.leaves.PreparedBatch`.  The scope's
         ``DiscreteLeaf`` rows are then filled in one pass by its fused
         :class:`~repro.core.leaves.DiscreteScopeTable`; ``BinnedLeaf``
         rows evaluate per leaf.
@@ -732,61 +611,6 @@ class CompiledRSPN:
         every mutation path calls this before the next sweep."""
         self._scope_tables = {}
 
-    def _touched_leaves(self, specs):
-        """Map ``row -> [query column, ...]`` of leaf entries to fill."""
-        pending: dict[int, list[int]] = {}
-        for qcol, spec in enumerate(specs):
-            for scope_index in set(spec.ranges) | set(spec.transforms):
-                for row in self.leaf_rows_by_scope.get(scope_index, ()):
-                    pending.setdefault(row, []).append(qcol)
-        return pending
-
-    def _fill_leaf_row(self, values, row, qcols, specs):
-        """Deduplicate the specs hitting one leaf and evaluate them
-        (the legacy kernel's per-row fill)."""
-        leaf = self._leaf_at[row]
-        scope = leaf.scope_index
-        slots: dict = {}
-        composed: dict = {}  # share one composed transform per key-tuple
-        ranges, transforms = [], []
-        assign = np.empty(len(qcols), dtype=np.intp)
-        for k, qcol in enumerate(qcols):
-            spec = specs[qcol]
-            rng = spec.ranges.get(scope)
-            transform_list = spec.transforms.get(scope)
-            # Key on the well-known label where the transform IS the
-            # registered singleton (labels are str, ids are int -- the
-            # key spaces cannot collide): equal well-known transforms
-            # always share a dedup slot, ad-hoc ones stay id-keyed.
-            transform_key = (
-                tuple(transform_dedup_key(t) for t in transform_list)
-                if transform_list else None
-            )
-            key = (rng, transform_key)
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(ranges)
-                slots[key] = slot
-                ranges.append(rng)
-                if transform_list is None:
-                    transforms.append(None)
-                else:
-                    transform = composed.get(transform_key)
-                    if transform is None:
-                        transform = product_transform(transform_list)
-                        composed[transform_key] = transform
-                    transforms.append(transform)
-            assign[k] = slot
-        batch = getattr(leaf, "evaluate_batch", None)
-        if batch is not None:
-            distinct = np.asarray(batch(ranges, transforms), dtype=float)
-        else:  # generic leaf without a vectorised kernel
-            distinct = np.array(
-                [leaf.evaluate(r, t) for r, t in zip(ranges, transforms)],
-                dtype=float,
-            )
-        values[row, qcols] = distinct[assign]
-
     # ------------------------------------------------------------------
     # Arena pool
     # ------------------------------------------------------------------
@@ -825,25 +649,15 @@ class CompiledRSPN:
 
         The incremental-invalidation fast path: after a batch of count
         mutations the structure, slots and leaf wiring of this form are
-        all still exact -- only the frozen mixture weights (fused-plan
-        ``pos_weights`` and the legacy levels' ``sum_weights``) drifted.
+        all still exact -- only the frozen mixture weights (the fused
+        plan's ``pos_weights``) drifted.
         Patching them in place is O(sum nodes) instead of the O(nodes)
         re-lowering ``compiled_for`` would do.  Returns ``False`` when
         this form has no node back-references (tape-restored mapped
         forms): the caller falls back to a full recompile.
         """
         self.drop_scope_tables()  # leaf payloads moved with the counts
-        level_sums = getattr(self, "_level_sums", None)
-        if level_sums is None or not self.plan.refresh_weights():
-            return False
-        for level, sums in zip(self.levels, level_sums):
-            if not sums:
-                continue
-            weights: list[float] = []
-            for node in sums:
-                weights.extend(node.weights)
-            level.sum_weights = np.array(weights, dtype=float)
-        return True
+        return self.plan.refresh_weights()
 
     def kernel_stats(self) -> dict:
         """Kernel + sweep telemetry for benches and serving ``/stats``."""
@@ -861,7 +675,6 @@ class CompiledRSPN:
             "arena_rows": self.plan.arena_rows,
             "stage_rows": self.plan.stage_rows,
             "arena_bytes_per_column": 8 * (self.plan.arena_rows + self.plan.stage_rows),
-            "legacy_bytes_per_column": 8 * self.n_nodes,
             "arena_allocations": allocations,
             "arena_pooled": pooled,
             "scope_tables": len(tables),
@@ -873,8 +686,16 @@ class CompiledRSPN:
         }
 
 
-def _post_order(root):
-    """Iterative post-order: children always precede their parent."""
+def post_order(root):
+    """The tree's nodes in post order (children before parents).
+
+    This ordering is the tree's canonical row numbering: it is the order
+    :func:`export_tree_arrays` assigns rows in, import preserves it
+    exactly, and the fused sweep plan (and thus ``plan_signature``) is a
+    pure function of it.  External metadata keyed "by row" -- the model
+    store's per-sum-node KMeans routing state in particular -- resolves
+    through this function on either side of an export/import round trip.
+    """
     order, stack = [], [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -940,7 +761,7 @@ def export_tree_arrays(root):
     payloads travel as raw float64 bytes, so :func:`import_tree_arrays`
     reproduces evaluation bit-for-bit.
     """
-    order = _post_order(root)
+    order = post_order(root)
     index_of = {id(node): i for i, node in enumerate(order)}
     kinds = np.empty(len(order), dtype=np.int8)
     leaf_scope = np.full(len(order), -1, dtype=np.int64)
@@ -1065,19 +886,6 @@ def import_tree_arrays(meta, arrays):
     return nodes[int(meta["root_row"])]
 
 
-def post_order(root):
-    """The tree's nodes in post order (children before parents).
-
-    This ordering is the tree's canonical row numbering: it is the order
-    :func:`export_tree_arrays` assigns rows in, import preserves it
-    exactly, and the fused sweep plan (and thus ``plan_signature``) is a
-    pure function of it.  External metadata keyed "by row" -- the model
-    store's per-sum-node KMeans routing state in particular -- resolves
-    through this function on either side of an export/import round trip.
-    """
-    return _post_order(root)
-
-
 # Node-array attributes an update path may mutate in place; thawing
 # copies exactly these (SumNode.counts plus every leaf payload array).
 _MUTABLE_ARRAY_ATTRS = ("counts", "values", "edges", "sums", "distinct")
@@ -1095,7 +903,7 @@ def thaw_tree(root):
     arrays copied (0 when the tree was never frozen).
     """
     copied = 0
-    for node in _post_order(root):
+    for node in post_order(root):
         for attr in _MUTABLE_ARRAY_ATTRS:
             array = getattr(node, attr, None)
             if isinstance(array, np.ndarray) and not array.flags.writeable:
@@ -1115,8 +923,7 @@ def thaw_tree(root):
 # the tree arrays, and this section rebuilds an evaluation-equivalent
 # compiled form straight from those buffers: O(ops) plan restore, leaf
 # objects built lazily per scope on first touch, and the Python node
-# tree not built at all until something actually needs it (the legacy
-# reference sweep, or an update).
+# tree not built at all until something actually needs it (an update).
 
 # Array names the model store persists for the plan tape, in
 # ``_FusedPlan.tape()`` order.
@@ -1271,24 +1078,18 @@ class MappedCompiledRSPN(CompiledRSPN):
     Construction is O(plan ops + leaf count) cheap slicing over buffers
     that typically live in a model store mapping; nothing is copied.
     Evaluation through the fused sweep is bit-identical to the
-    tree-lowered form (same plan tape, same leaf payloads).  Paths that
-    genuinely need the node tree -- the ``legacy`` reference sweep,
-    updates -- call ``materialize()``, which imports the twin and
+    tree-lowered form (same plan tape, same leaf payloads).  When a path
+    genuinely needs the node tree (an update), the owning
+    :class:`~repro.core.modelstore.MappedRSPN` imports the twin and
     re-homes this form onto it (see :func:`adopt`).
     """
 
-    def __init__(self, meta, arrays, materialize):
+    def __init__(self, meta, arrays):
         kinds = arrays["kinds"]
         leaf_scope = arrays["leaf_scope"]
         leaf_data = arrays["leaf_data"]
         self.n_nodes = int(kinds.shape[0])
-        self.root_row = int(meta["root_row"])
         self.generation = 0
-        # ``materialize`` must not strongly reference the owning RSPN
-        # (the owner references this form: a cycle would defeat the
-        # refcount cascade DeepDB.close() relies on for a deterministic
-        # unmap) -- the model store passes a weak-method closure.
-        self._materialize = materialize
 
         # Group leaf slots by scope with array ops only -- per-leaf
         # Python work here would put O(leaves) back on the cold-start
@@ -1315,23 +1116,6 @@ class MappedCompiledRSPN(CompiledRSPN):
         self.sweep_count = 0
         self.sweep_ns = 0
         self.sweep_queries = 0
-
-    def evaluate_batch(self, specs):
-        # The legacy reference sweep reads the full node-value matrix
-        # and needs the tree; build the real lowered form for it.
-        if kernels.resolve() == "legacy":
-            return self._full_form().evaluate_batch(specs)
-        return super().evaluate_batch(specs)
-
-    def _full_form(self):
-        root = self._materialize()
-        form = _CACHE.get(root)
-        if form is None or form is self or form.generation != generation(root):
-            form = CompiledRSPN(root)
-            form.generation = generation(root)
-            _CACHE[root] = form
-        return form
-
 
 # ----------------------------------------------------------------------
 # Per-root compilation cache, guarded by a generation counter

@@ -5,10 +5,10 @@ as the **fused arena sweep**: pre-planned ``np.take`` / ``np.multiply``
 / ``np.add`` calls over a small reusable arena.  It is the only
 production kernel.
 
-The pre-fusion full-``(n_nodes, n_queries)`` matrix sweep, with its
-per-leaf fills, is kept as a **test-only reference oracle**: tests reach
-it through :func:`use` (``with kernels.use("legacy"): ...``) and assert
-the fused sweep is ``==`` to it.
+Its oracle is the test suite's reference sweep
+(``tests/reference_sweep.py``): a plain full-``(n_nodes, n_queries)``
+matrix sweep with per-leaf fills, which the tests assert the fused
+sweep is ``==`` to.
 
 Bit-identity contract
 ---------------------
@@ -35,42 +35,17 @@ in the same order produces the same bits.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_KERNEL = "auto"
 
 
 def check(name):
     """Accept the names of the one production kernel (``None`` or
-    ``"auto"``); anything else raises ``ValueError``.  The legacy sweep
-    is not selectable here: it is a test oracle, reached via :func:`use`."""
+    ``"auto"``); anything else raises ``ValueError``."""
     if name not in (None, "auto"):
         raise ValueError(
             f"unknown kernel {name!r}: the fused sweep is the only kernel "
             "(pass None or 'auto')"
         )
-
-
-def resolve() -> str:
-    """The sweep that will execute: ``numpy``, or ``legacy`` inside
-    :func:`use`."""
-    return "legacy" if _KERNEL == "legacy" else "numpy"
-
-
-@contextmanager
-def use(name):
-    """Run the ``legacy`` reference sweep inside the block (tests)."""
-    global _KERNEL
-    if name != "legacy":
-        raise ValueError(f"unknown kernel {name!r}; only 'legacy' can be used")
-    previous = _KERNEL
-    _KERNEL = name
-    try:
-        yield
-    finally:
-        _KERNEL = previous
 
 
 def ordered_rowsum(matrix):
@@ -97,8 +72,4 @@ def ordered_rowsum(matrix):
 
 def describe() -> dict:
     """Kernel configuration for ``/stats`` and benchmark host records."""
-    return {
-        "requested": _KERNEL,
-        "active": resolve(),
-        "numba_available": False,
-    }
+    return {"requested": "auto", "active": "numpy", "numba_available": False}

@@ -12,8 +12,8 @@ queries with leaf histograms built per touched scope as read-only
 ``np.frombuffer`` views into the mapping -- no pickle, no JSON parse of
 histograms, no node-tree rebuild, no recompile, no histogram copy.  The
 Python node tree only materialises
-(:func:`~repro.core.compiled.import_tree_arrays`) when an update or the
-``legacy`` reference sweep genuinely needs nodes.  Cold start is
+(:func:`~repro.core.compiled.import_tree_arrays`) when an update
+genuinely needs nodes.  Cold start is
 O(metadata) and resident memory is demand-paged by the OS, which is
 what lets one server host thousands of tenant models (see
 :class:`repro.serving.registry.ModelRegistry`'s LRU pager).
@@ -597,7 +597,7 @@ class ModelStore:
         queries straight from the persisted plan tape and build leaf
         objects (read-only views into the mmap) per touched scope on
         demand.  The node tree itself materialises only for paths that
-        need it (updates, the legacy reference sweep).
+        need it (updates).
         The returned ensemble pins this store open until it is garbage
         collected (or the owning ``DeepDB.close()`` runs).
         """
@@ -714,8 +714,8 @@ class MappedRSPN(RSPN):
     :func:`~repro.core.compiled.import_tree_arrays` twin whose leaf
     histograms are read-only views into the mapping, with routing state
     re-attached from the store's routing section) the first time a path
-    genuinely needs nodes: an update, the ``legacy`` reference sweep,
-    sampling, or direct ``.root`` access.
+    genuinely needs nodes: an update, sampling, or direct ``.root``
+    access.
 
     The update path mutates leaf histograms in place, which a read-only
     view forbids -- so the first ``insert``/``delete`` additionally
@@ -784,22 +784,8 @@ class MappedRSPN(RSPN):
     def _compiled(self):
         form = self._compiled_form
         if form is None:
-            # The form must not hold a strong reference back to this
-            # RSPN (which owns the form): a cycle would leave the unmap
-            # to the garbage collector and break DeepDB.close()'s
-            # deterministic-release contract, so hand it a weak method.
-            materialize = weakref.WeakMethod(self._materialize_root)
-
-            def _materialize():
-                method = materialize()
-                if method is None:
-                    raise ModelStoreError(
-                        "owning MappedRSPN was garbage-collected"
-                    )
-                return method()
-
             form = compiled.MappedCompiledRSPN(
-                self._tree_meta, self._tree_arrays, _materialize
+                self._tree_meta, self._tree_arrays
             )
             self._compiled_form = form
         return form

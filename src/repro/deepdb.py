@@ -28,10 +28,6 @@ from repro.engine.parser import parse_query
 class DeepDB:
     """An RSPN ensemble plus probabilistic query compilation.
 
-    ``kernel`` may be ``None`` or ``"auto"``: the fused sweep of
-    :mod:`repro.core.kernels` is the only kernel, and any other value
-    raises ``ValueError``.
-
     ``corrector`` turns on the workload feedback loop
     (:mod:`repro.feedback`): ``"observe"`` logs every estimate and the
     realized cardinalities ``optimize_and_execute`` sees without
@@ -52,9 +48,8 @@ class DeepDB:
     falsy value to disable caching.
     """
 
-    def __init__(self, database, ensemble, kernel=None, store=None,
-                 corrector=None, plan_cache=True):
-        kernels.check(kernel)
+    def __init__(self, database, ensemble, store=None, corrector=None,
+                 plan_cache=True):
         self.database = database
         self.ensemble = ensemble
         self.compiler = ProbabilisticQueryCompiler(ensemble)
@@ -98,10 +93,10 @@ class DeepDB:
 
     @classmethod
     def learn(cls, database, config: EnsembleConfig | None = None,
-              kernel=None, corrector=None, plan_cache=True):
+              corrector=None, plan_cache=True):
         """Offline learning phase: build the RSPN ensemble for a database."""
         ensemble = learn_ensemble(database, config)
-        return cls(database, ensemble, kernel=kernel, corrector=corrector,
+        return cls(database, ensemble, corrector=corrector,
                    plan_cache=plan_cache)
 
     def close(self):
@@ -160,8 +155,7 @@ class DeepDB:
         return self._corrector_document
 
     @classmethod
-    def load(cls, path, database, kernel=None, corrector=None,
-             plan_cache=True):
+    def load(cls, path, database, corrector=None, plan_cache=True):
         """Re-open a persisted ensemble against its database.
 
         The store is mmapped (O(metadata) cold start, histograms stay on
@@ -175,7 +169,6 @@ class DeepDB:
         """
         from repro.core.modelstore import open_store
 
-        kernels.check(kernel)  # before the store is mapped
         os.stat(path)  # open_store reports every OSError as ModelStoreError
         store = open_store(path)
         try:
@@ -184,7 +177,7 @@ class DeepDB:
         except BaseException:
             store.close()
             raise
-        instance = cls(database, ensemble, kernel=kernel, store=store,
+        instance = cls(database, ensemble, store=store,
                        corrector=corrector, plan_cache=plan_cache)
         instance._corrector_document = document
         if document is not None and instance.feedback is not None:
@@ -494,7 +487,7 @@ class DeepDB:
         Sums sweep counters and peak arena sizes over every RSPN whose
         compiled form is currently cached (models never swept report
         nothing).  Surfaced through serving ``/stats`` so operators can
-        see the active kernel, per-sweep latency, the arena-vs-legacy
+        see the active kernel, per-sweep latency, the arena's per-column
         memory footprint and what the fused leaf fill holds resident
         (``scope_tables`` / ``scope_table_bytes``) without
         instrumenting anything.
@@ -506,7 +499,6 @@ class DeepDB:
             "sweep_ns_total": 0,
             "arena_allocations": 0,
             "arena_bytes_per_column": 0,
-            "legacy_bytes_per_column": 0,
             "scope_tables": 0,
             "scope_table_bytes": 0,
         }
@@ -521,9 +513,6 @@ class DeepDB:
             totals["sweep_ns_total"] += stats["sweep_ns_total"]
             totals["arena_allocations"] += stats["arena_allocations"]
             totals["arena_bytes_per_column"] += stats["arena_bytes_per_column"]
-            totals["legacy_bytes_per_column"] += (
-                stats["legacy_bytes_per_column"]
-            )
             totals["scope_tables"] += stats["scope_tables"]
             totals["scope_table_bytes"] += stats["scope_table_bytes"]
         queries = totals["sweep_queries"]

@@ -89,8 +89,8 @@ class ModelRegistry:
         Validates the header (magic, CRC, version -- raising
         :class:`~repro.core.modelstore.ModelStoreError` on corruption)
         and records how to page the model in later; the blobs stay on
-        disk until the first query routed at ``name``.  ``kernel``
-        follows :class:`~repro.deepdb.DeepDB` (``None``/``"auto"``).
+        disk until the first query routed at ``name``.  ``kernel`` must
+        be ``None`` or ``"auto"``: the fused sweep is the only kernel.
         Returns the store catalog.
         """
         from repro.core import kernels

@@ -51,7 +51,7 @@ def _tree_state(root):
     """Every mutable array of the tree, in post-order -- the bit-identity
     comparison vocabulary."""
     state = []
-    for node in compiled._post_order(root):
+    for node in compiled.post_order(root):
         if isinstance(node, SumNode):
             state.append(np.asarray(node.counts, dtype=float).copy())
         elif isinstance(node, DiscreteLeaf):

@@ -1,10 +1,10 @@
 """Differential property suite for the fused sweep.
 
 The fused arena sweep of :mod:`repro.core.compiled` is the only
-production kernel; the ``legacy`` full-matrix sweep (reached through
-``kernels.use("legacy")``) is kept as its reference oracle.  The two
-must return **bit-identical** answers, ``==`` not ``allclose``.  This
-suite turns that promise into properties:
+production kernel; the full-matrix sweep of ``tests/reference_sweep.py``
+is its reference oracle.  The two must return **bit-identical**
+answers, ``==`` not ``allclose``.  This suite turns that promise into
+properties:
 
 - random SPNs x random specs, both leaf types;
 - batches of one, uneven batch sizes and empty selections pinned to
@@ -23,6 +23,9 @@ suite turns that promise into properties:
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -47,10 +50,11 @@ from repro.core.leaves import (
     transform_dedup_key,
     well_known_label,
 )
-from repro.core.nodes import LeafNode, iter_nodes
+from repro.core.nodes import LeafNode, ProductNode, SumNode, iter_nodes
 from repro.core.ranges import Interval, Range
 from repro.deepdb import DeepDB
 from tests.conftest import build_customer_orders
+from tests.reference_sweep import reference_evaluate, reference_sweep
 from tests.test_nodes_inference import _random_spec, _random_spn
 
 
@@ -75,18 +79,19 @@ def _spn_with_both_leaf_kinds(rng, scope):
 
 
 def _kernel_results(spn, specs):
-    """``{kernel: values}``: the legacy oracle and the fused sweep."""
-    with kernels.use("legacy"):
-        legacy = evaluate_batch(spn, specs)
-    return {"legacy": legacy, "numpy": evaluate_batch(spn, specs)}
+    """``{sweep: values}``: the reference oracle and the fused sweep."""
+    return {
+        "reference": reference_evaluate(spn, specs),
+        "numpy": evaluate_batch(spn, specs),
+    }
 
 
 def _assert_all_equal(results):
-    reference = results["legacy"]
+    reference = results["reference"]
     for name, values in results.items():
         assert values.shape == reference.shape
         assert (values == reference).all(), (
-            f"kernel {name!r} diverged from legacy"
+            f"kernel {name!r} diverged from the reference sweep"
         )
 
 
@@ -110,7 +115,7 @@ def small_model():
 
 
 class TestKernelDifferential:
-    """fused == legacy, bit for bit."""
+    """fused == reference, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_spns_random_specs(self, seed):
@@ -139,7 +144,7 @@ class TestKernelDifferential:
         monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", budget)
         chunked = _kernel_results(spn, specs)
         for name, values in chunked.items():
-            assert (values == unchunked["legacy"]).all(), (
+            assert (values == unchunked["reference"]).all(), (
                 f"kernel {name!r} diverged under _CHUNK_BUDGET={budget}"
             )
 
@@ -162,7 +167,7 @@ class TestKernelDifferential:
         for size in (1, 3, 5, 7, 10, 23):
             requests = _requests(rspn, size)
             fused = rspn.expectation_batch(requests)
-            with kernels.use("legacy"):
+            with reference_sweep():
                 reference = rspn.expectation_batch(requests)
             assert list(fused) == list(reference), f"batch of {size}"
             assert list(fused) == list(full[:size]), f"batch of {size}"
@@ -175,7 +180,7 @@ class TestKernelDifferential:
         for slot in empty_slots:
             requests[slot] = ({column: Range.nothing()}, None)
         fused = rspn.expectation_batch(requests)
-        with kernels.use("legacy"):
+        with reference_sweep():
             reference = rspn.expectation_batch(requests)
         for slot in empty_slots:
             assert fused[slot] == 0.0
@@ -192,7 +197,7 @@ class TestKernelDifferential:
             "SELECT COUNT(*) FROM customer, orders "
             "WHERE customer.age > 25 GROUP BY orders.channel",
         ]
-        with kernels.use("legacy"):
+        with reference_sweep():
             reference = small_model.approximate_batch(queries)
         answers = small_model.approximate_batch(queries)
         assert len(answers) == len(reference)
@@ -253,7 +258,7 @@ def _learned_specs(rspn, rng, n):
 
 
 class TestFusedFillOnLearnedModels:
-    """The scope-fused leaf fill ``==`` the legacy per-leaf sweep on
+    """The scope-fused leaf fill ``==`` the per-leaf reference sweep on
     learned IMDb and flights ensembles, at the batch sizes serving
     produces (a lone request, a 2-query flush) and a large one."""
 
@@ -267,8 +272,7 @@ class TestFusedFillOnLearnedModels:
         rng = np.random.default_rng(n_specs)
         for rspn in learned.ensemble.rspns:
             specs = _learned_specs(rspn, rng, n_specs)
-            with kernels.use("legacy"):
-                reference = rspn.evaluate_specs(specs)
+            reference = reference_evaluate(rspn.root, specs)
             fused = rspn.evaluate_specs(specs)
             assert (fused == reference).all()
             assert compiled_for(rspn.root).kernel_stats()["scope_tables"] >= 1
@@ -284,8 +288,7 @@ class TestFusedFillOnLearnedModels:
                 fused = rspn.evaluate_specs(specs)
                 assert not rspn.materialized  # served from the mapping
                 assert rspn.compiled_peek().kernel_stats()["scope_tables"] >= 1
-                with kernels.use("legacy"):
-                    reference = live.evaluate_specs(specs)
+                reference = reference_evaluate(live.root, specs)
                 assert (fused == reference).all()
         finally:
             mapped.close()
@@ -401,12 +404,14 @@ class TestArenaReuse:
 
     def test_arena_smaller_than_legacy_matrix(self, small_model):
         """On learned ensembles the register-allocated arena (plus its
-        staging block) undercuts the legacy n_nodes-row matrix."""
+        staging block) undercuts a full n_nodes-row matrix."""
         small_model.cardinality("SELECT COUNT(*) FROM customer "
                                 "WHERE customer.age > 40")
         stats = small_model.kernel_stats()
+        forms = [rspn.compiled_peek() for rspn in small_model.ensemble.rspns]
+        full_matrix = sum(8 * form.n_nodes for form in forms if form is not None)
         assert stats["n_models"] >= 1
-        assert stats["arena_bytes_per_column"] < stats["legacy_bytes_per_column"]
+        assert stats["arena_bytes_per_column"] < full_matrix
 
     def test_kernel_stats_shape(self, small_model):
         small_model.cardinality("SELECT COUNT(*) FROM customer "
@@ -416,6 +421,34 @@ class TestArenaReuse:
         assert stats["sweeps"] >= 1
         assert stats["sweep_queries"] >= 1
         assert stats["sweep_ns_per_query"] > 0
+
+
+class TestCacheLifetime:
+    """A cached compiled form never keeps its own root alive: the cache
+    is keyed weakly on the root, so a form that references its root
+    (a sum root is one of the plan's sum nodes) would pin both."""
+
+    @pytest.mark.parametrize("root_type", [SumNode, ProductNode])
+    def test_cache_entry_dies_with_its_root(self, root_type):
+        rng = np.random.default_rng(5)
+        scope = (0, 1)
+
+        def product():
+            return ProductNode(scope, [_random_spn(rng, (i,), depth=0)
+                                       for i in scope])
+
+        root = (SumNode(scope, [product(), product()], counts=[2.0, 3.0])
+                if root_type is SumNode else product())
+        evaluate_batch(root, [_random_spec(rng, scope) for _ in range(4)])
+        form = compiled_mod.compiled_for(root)
+        assert form.refresh_weights()  # the plan still reaches its nodes
+        cached = len(compiled_mod._CACHE)
+        root_ref, form_ref = weakref.ref(root), weakref.ref(form)
+        del root, form
+        gc.collect()
+        assert root_ref() is None
+        assert form_ref() is None
+        assert len(compiled_mod._CACHE) < cached
 
 
 class TestTransformDedupKey:
@@ -482,20 +515,10 @@ class TestSilentFallback:
     def test_describe_reports_request_and_resolution(self):
         assert kernels.describe()["requested"] == "auto"
         assert kernels.describe()["active"] == "numpy"
-        with kernels.use("legacy"):
-            info = kernels.describe()
-        assert info["requested"] == "legacy"
-        assert info["active"] == "legacy"
-        assert info["numba_available"] is False
-        assert kernels.describe()["active"] == "numpy"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             kernels.check("bogus")
-        with pytest.raises(ValueError):
-            with kernels.use("bogus"):
-                pass
-        assert kernels.resolve() == "numpy"
 
     def test_none_is_a_noop(self):
         before = kernels.describe()
@@ -565,12 +588,14 @@ def test_benchmark_surface_contract(small_model, tmp_path, capsys):
         registry.register_store("m", path, small_model.database, kernel="auto")
         served = registry.session("m").run_one(Request("cardinality", sql))
         assert served == small_model.cardinality(sql)
+        for kernel in ("numba", "numpy", "legacy"):
+            with pytest.raises(ValueError):
+                registry.register_store(
+                    kernel, path, small_model.database, kernel=kernel
+                )
     finally:
         registry.close()
 
-    for kernel in ("numba", "numpy", "legacy"):
-        with pytest.raises(ValueError):
-            DeepDB.load(path, small_model.database, kernel=kernel)
     assert kernels.describe() == {
         "requested": "auto", "active": "numpy", "numba_available": False,
     }

@@ -2,8 +2,9 @@
 
 The differential contract is ``==``, never ``allclose``: a model loaded
 from a store file must answer bit-identically to the live model it was
-saved from -- under the fused sweep and its legacy oracle, and through
-the serving stack before and after pager evictions.
+saved from -- under the fused sweep and its reference oracle
+(``tests/reference_sweep.py``), and through the serving stack before
+and after pager evictions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import compiled, kernels, modelstore
+from repro.core import compiled, modelstore
 from repro.core.ensemble import EnsembleConfig
 from repro.core.modelstore import (
     MappedRSPN,
@@ -29,6 +30,7 @@ from repro.core.modelstore import (
 from repro.deepdb import DeepDB
 from repro.serving import AsyncDeepDB, ModelRegistry, Request
 from tests.conftest import build_customer_orders, mapped_store_files
+from tests.reference_sweep import reference_sweep
 
 CARDINALITY_SQLS = [
     "SELECT COUNT(*) FROM customer WHERE customer.age > 40",
@@ -106,7 +108,7 @@ class TestRoundTrip:
         loaded = DeepDB.load(store_path, database)
         try:
             if kernel == "legacy":
-                with kernels.use("legacy"):
+                with reference_sweep():
                     _assert_bit_identical(_answers(loaded), expected)
             else:
                 _assert_bit_identical(_answers(loaded), expected)

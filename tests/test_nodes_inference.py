@@ -328,13 +328,13 @@ class TestCompiledAgainstWalk:
     @pytest.mark.parametrize("seed", range(3))
     def test_chunk_boundaries_fused_equals_legacy(self, seed, monkeypatch):
         """Across ``_CHUNK_BUDGET`` chunk boundaries the fused sweep
-        must equal the legacy reference sweep **bit for bit** -- for
+        must equal the reference sweep **bit for bit** -- for
         both leaf types, including uneven sub-batches (a 1-spec sliver)
         each chunked again internally.  BinnedLeaf is the kernel where
         batch-composition invariance is easiest to lose (its batch
         kernel must stay a row-wise reduction, never a BLAS matvec)."""
         from repro.core import compiled as compiled_mod
-        from repro.core import kernels
+        from tests.reference_sweep import reference_evaluate
 
         rng = np.random.default_rng(800 + seed)
         scope = tuple(range(3))
@@ -349,8 +349,7 @@ class TestCompiledAgainstWalk:
             if kinds == {"DiscreteLeaf", "BinnedLeaf"}:
                 break
         specs = [_random_spec(rng, scope) for _ in range(40)]
-        with kernels.use("legacy"):
-            reference = evaluate_batch(spn, specs)
+        reference = reference_evaluate(spn, specs)
         monkeypatch.setattr(compiled_mod, "_CHUNK_BUDGET", 1)
         parts = []
         for lo, hi in ((0, 1), (1, 17), (17, 40)):
