@@ -14,7 +14,10 @@ estimator protocol:
 
 - **serving**: 8 concurrent closed-loop clients through the in-process
   ``AsyncDeepDB`` facade must be coalesced into multi-request flushes
-  whose answers match the scalar loop to 1e-9,
+  whose answers match the scalar loop to 1e-9; then one batched
+  ``/update`` over HTTP stages on the writer thread while readers keep
+  querying: every read must be a serially reachable value and the end
+  state ``==`` a serially-updated twin,
 - **restart**: the ensemble saved to a model store file and cold-started
   in a **fresh process** (run with ``-W error::ResourceWarning``) must
   serve its first answer from the mmapped store within a second,
@@ -270,6 +273,90 @@ def _smoke_serving(database, ensemble, n_clients=8, rounds=3):
           f"{stats['flushes']} flushes (mean occupancy "
           f"{stats['mean_occupancy']:.1f}, max {stats['max_occupancy']}), "
           f"answers match the scalar loop "
+          f"({time.perf_counter() - start:.1f}s)")
+    return _smoke_update_beside_reads(database, ensemble)
+
+
+def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
+    """One batched ``/update`` stages on the server's writer thread while
+    ``n_readers`` HTTP clients keep querying.  The batch commits at
+    once, so every read must be the before or the after value, and the
+    end state must be ``==`` a twin fed the same ops one tuple at a time
+    through ``update_tuple``."""
+    import copy
+    import json
+    import threading
+    import urllib.request
+
+    from repro.deepdb import DeepDB
+    from repro.serving import ModelRegistry, start_server
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.update_reference import model_state, serial_apply, states_equal
+
+    start = time.perf_counter()
+    deepdb = DeepDB(*copy.deepcopy((database, ensemble)))
+    twin = DeepDB(*copy.deepcopy((database, ensemble)))
+    probe = "SELECT COUNT(*) FROM flights WHERE flights.distance > 20000"
+    rng = np.random.default_rng(37)
+    ops = [
+        {"op": "insert", "table": "flights",
+         "row": {"distance": float(rng.integers(21_000, 25_000))}}
+        for _ in range(n_ops)
+    ]
+    allowed = {float(twin.cardinality(probe))}
+    serial_apply(twin, [(op["op"], op["table"], op["row"]) for op in ops])
+    final = float(twin.cardinality(probe))
+    allowed.add(final)
+
+    def post(url, path, body):
+        request = urllib.request.Request(
+            url + path, data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=20) as response:
+            return json.loads(response.read().decode("utf-8"))
+
+    registry = ModelRegistry()
+    registry.register("flights", deepdb, cache_size=0)
+    observed, updated = [], threading.Event()
+    with start_server(registry) as server:
+        def reader():
+            while not updated.is_set():
+                observed.append(
+                    post(server.url, "/query", {"sql": probe})["value"]
+                )
+
+        readers = [threading.Thread(target=reader) for _ in range(n_readers)]
+        for thread in readers:
+            thread.start()
+        try:
+            payload = post(server.url, "/update", {"ops": ops})
+        finally:
+            updated.set()
+            for thread in readers:
+                thread.join(20)
+        observed.append(post(server.url, "/query", {"sql": probe})["value"])
+        flushes = server.stats()["serving"]["update_coalescers"]["flights"]
+
+    if payload.get("applied") != n_ops or flushes["flushes"] != 1:
+        print(f"FAIL: batched /update applied {payload.get('applied')} of "
+              f"{n_ops} ops in {flushes['flushes']} flushes (want 1)")
+        return 1
+    torn = [value for value in observed if value not in allowed]
+    if torn:
+        print(f"FAIL: {len(torn)} reads beside the /update are not "
+              f"serially reachable (first: {torn[0]!r})")
+        return 1
+    if observed[-1] != final or not states_equal(
+        model_state(deepdb), model_state(twin)
+    ):
+        print(f"FAIL: end state ({observed[-1]!r}) != serial twin "
+              f"({final!r})")
+        return 1
+    print(f"OK: one {n_ops}-op /update staged on the writer thread beside "
+          f"{len(observed) - 1} concurrent HTTP reads, all serially "
+          f"reachable, end state == the serial twin "
           f"({time.perf_counter() - start:.1f}s)")
     return 0
 

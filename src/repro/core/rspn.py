@@ -291,19 +291,27 @@ class RSPN:
 
         ``ops`` is an iterable of ``(row dict, +1/-1)``.  Routing and
         histogram arithmetic run now, against copy-on-write shadows
-        (:class:`repro.core.updates.TreeBatch`), so concurrent readers
-        keep sweeping one consistent tree.  Returns an opaque pending
-        batch for :meth:`commit_batch`.  Staging and committing must be
+        (:meth:`repro.core.updates.TreeBatch.stage_rows`): the batch
+        goes down the tree node by node -- one k-means ``predict`` per
+        sum node -- not tuple by tuple, and every
+        node still sees its tuples in order, so the result is ``==``
+        the serial :meth:`insert`/:meth:`delete`.  Concurrent readers
+        keep sweeping one consistent tree meanwhile (the serving
+        front-end stages on its writer thread).  Returns an opaque
+        pending batch for :meth:`commit_batch`, which is the only step
+        that must exclude readers.  Staging and committing must be
         serialized against other writers (the serving session's ingest
         lock does this); readers need no coordination.
         """
         from repro.core.updates import TreeBatch
 
         batch = TreeBatch(self.root)
-        signs = []
-        for row, sign in ops:
-            batch.stage(self._row_vector(row), sign)
-            signs.append(sign)
+        ops = list(ops)
+        signs = [sign for _row, sign in ops]
+        if ops:
+            batch.stage_rows(
+                np.stack([self._row_vector(row) for row, _sign in ops]), signs
+            )
         return (batch, signs)
 
     def commit_batch(self, pending):

@@ -7,20 +7,25 @@ leaves adjust their value distribution.  The tree *structure* never
 changes -- exactly the behaviour (and limitation) the paper describes
 and evaluates in Table 2.
 
-Two appliers share that traversal:
+Two appliers share that arithmetic:
 
-- :func:`update_tuple` -- the original one-tuple path.  Every call
-  invalidates the compiled form, so a stream of N inserts pays N full
-  re-lowerings.
-- :class:`TreeBatch` -- the streaming-ingest path.  Tuples are *staged*
-  against copy-on-write shadows of exactly the nodes they touch (the
-  live tree is never mutated while readers sweep it), then *committed*
-  as one O(touched) pointer swap followed by a single
-  :func:`repro.core.compiled.refresh_weights` -- one generation bump
-  per batch, compiled plan patched in place rather than rebuilt.
-  Staging calls the **same** leaf ``update``/count arithmetic as the
-  serial path in the same per-tuple order, so a committed batch is
-  bit-identical (``==``) to applying its tuples one at a time.
+- :func:`update_tuple` -- the one-tuple path and the serial reference.
+  Every call invalidates the compiled form, so a stream of N inserts
+  pays N full re-lowerings.
+- :class:`TreeBatch` -- the streaming-ingest path.  A batch is *staged*
+  node by node (:meth:`TreeBatch.stage_rows`): each node takes its whole
+  sub-batch at once -- a k-means sum node routes it with one
+  ``predict`` -- into copy-on-write shadows of exactly the nodes it
+  touches, so the live tree is never mutated while readers sweep it.
+  It is then *committed* as one O(touched) pointer swap followed by a
+  single :func:`repro.core.compiled.refresh_weights` -- one generation bump
+  per batch, compiled plan patched in place rather than rebuilt.  The
+  commit is the only step that must exclude readers; the serving
+  front-end stages on its writer thread, off the loop that answers
+  reads.  Every node sees the same tuples in the same order as under
+  the serial path, with the same count arithmetic (the ``max(0, ...)``
+  clamp included), so a committed batch is bit-identical (``==``) to
+  applying its tuples one at a time.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ def _update(node, row, sign):
 class TreeBatch:
     """Copy-on-write staging of many tuple updates against one tree.
 
-    ``stage()`` may be called freely while other threads *read* the
-    tree: every mutation lands in a private shadow (copied sum counts,
-    copied leaf histograms), and routing decisions read those shadows
-    so the staged stream sees its own earlier tuples exactly as the
-    serial path would.  ``commit()`` publishes the shadows onto the
+    ``stage_rows()`` may be called freely while other threads *read*
+    the tree: every mutation lands in a private shadow (copied sum
+    counts, copied leaf histograms), and routing decisions read those
+    shadows so the staged stream sees its own earlier tuples exactly as
+    the serial path would.  ``commit()`` publishes the shadows onto the
     live nodes -- plain attribute assignments, no array is mutated in
     place -- and performs the batch's single generation bump.  The
     caller (the serving session) runs ``commit()`` under its write
@@ -87,11 +92,20 @@ class TreeBatch:
     # ------------------------------------------------------------------
     # Staging
     # ------------------------------------------------------------------
-    def stage(self, row, sign=1):
-        """Stage one tuple (see :func:`update_tuple` for ``row``)."""
-        row = np.asarray(row, dtype=float)
-        self._stage(self.root, row, float(sign))
-        self.staged += 1
+    def stage_rows(self, rows, signs):
+        """Stage a batch of tuples, one tree node at a time.
+
+        ``rows`` is an ``(n, n_columns)`` matrix of attribute vectors
+        (see :func:`update_tuple`), ``signs`` the ``n`` matching
+        ``+1``/``-1``.  Each node receives its whole sub-batch at once
+        and processes it in tuple order, so it steps through exactly
+        the states the serial path would.
+        """
+        rows = np.asarray(rows, dtype=float)
+        signs = np.asarray(signs, dtype=float)
+        if signs.shape[0]:
+            self._stage(self.root, rows, signs, np.arange(signs.shape[0]))
+            self.staged += signs.shape[0]
 
     def _shadow_counts(self, node):
         entry = self._sums.get(id(node))
@@ -128,27 +142,43 @@ class TreeBatch:
             self._leaves[id(node)] = entry
         return entry[1]
 
-    def _stage(self, node, row, sign):
+    def _stage(self, node, rows, signs, index):
+        """Stage the tuples ``index`` (ascending, i.e. in tuple order)
+        into the subtree at ``node``."""
         if isinstance(node, LeafNode):
-            self._shadow_leaf(node).update(row[node.scope_index], sign)
+            leaf = self._shadow_leaf(node)
+            for value, sign in zip(rows[index, node.scope_index].tolist(),
+                                   signs[index].tolist()):
+                leaf.update(value, sign)
             return
         if isinstance(node, SumNode):
             counts = self._shadow_counts(node)
+            shadow = counts.tolist()
             if node.kmeans is None:
-                # Serial routing reads the live counts, which by now
-                # include this batch's earlier tuples -- the shadow is
-                # that state.
-                nearest = int(np.argmax(counts))
+                # Serial routing reads the live counts, which include
+                # the batch's earlier tuples: route one tuple at a time.
+                labels = []
+                for sign in signs[index].tolist():
+                    nearest = shadow.index(max(shadow))  # np.argmax
+                    shadow[nearest] = max(0.0, shadow[nearest] + sign)
+                    labels.append(nearest)
+                labels = np.asarray(labels)
             else:
-                nearest = node.kmeans.nearest_center(
-                    row[np.asarray(node.scope)]
-                )
-            counts[nearest] = max(0.0, counts[nearest] + sign)
-            self._stage(node.children[nearest], row, sign)
+                # Nearest-center routing reads no state: one predict
+                # routes the node's whole sub-batch.
+                labels = node.kmeans.predict(rows[index[:, None], node.scope])
+                for nearest, sign in zip(labels.tolist(),
+                                         signs[index].tolist()):
+                    shadow[nearest] = max(0.0, shadow[nearest] + sign)
+            counts[:] = shadow
+            for child_index, child in enumerate(node.children):
+                routed = index[labels == child_index]
+                if routed.shape[0]:
+                    self._stage(child, rows, signs, routed)
             return
         if isinstance(node, ProductNode):
             for child in node.children:
-                self._stage(child, row, sign)
+                self._stage(child, rows, signs, index)
             return
         raise TypeError(f"unknown node type {type(node)!r}")
 

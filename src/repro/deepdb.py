@@ -377,12 +377,15 @@ class DeepDB:
         coalescer relies on.
 
         All tuples for one RSPN land in a single copy-on-write
-        :class:`~repro.core.updates.TreeBatch`, so concurrent readers
-        keep sweeping one consistent snapshot during staging and the
-        eventual :meth:`commit_update_batch` costs one generation bump
-        per *touched RSPN*, not one per tuple.  Staging/committing must
-        be serialized against other writers; readers need no
-        coordination.
+        :class:`~repro.core.updates.TreeBatch` that stages them node by
+        node (:meth:`~repro.core.rspn.RSPN.stage_batch`), so concurrent
+        readers keep sweeping one consistent snapshot during staging and
+        the eventual :meth:`commit_update_batch` -- the only step that
+        must exclude readers -- costs one generation bump per *touched
+        RSPN*, not one per tuple.  The serving front-end calls this on
+        its writer thread, off the loop that answers reads.
+        Staging/committing must be serialized against other writers;
+        readers need no coordination.
         """
         slots = [None] * len(ops)
         per_rspn = {}
@@ -394,23 +397,11 @@ class DeepDB:
                     sign = -1
                 else:
                     raise ValueError(f"unknown update op {op!r}")
-                encoded = self._encode_row(table, row)
-                targets = self.ensemble.touching(table)
-                if not targets:
-                    raise KeyError(f"no RSPN covers table {table!r}")
+                targets = self._model_rows(table, row)
             except Exception as exc:
                 slots[i] = exc
                 continue
-            for rspn in targets:
-                model_row = {
-                    name: encoded.get(name)
-                    for name in rspn.column_names
-                    if name in encoded
-                }
-                if rspn.is_join_model:
-                    model_row[qualify(table, "__present__")] = 1.0
-                    for other in rspn.tables - {table}:
-                        model_row[qualify(other, "__present__")] = 0.0
+            for rspn, model_row in targets:
                 entry = per_rspn.setdefault(id(rspn), (rspn, []))
                 entry[1].append((model_row, sign))
         staged = [
@@ -418,6 +409,29 @@ class DeepDB:
             for rspn, rows in per_rspn.values()
         ]
         return (staged, slots)
+
+    def _model_rows(self, table, row):
+        """``[(rspn, model row)]``: the raw ``row`` of ``table`` encoded
+        for every RSPN covering it, join-partner indicators NULL-extended
+        (see :meth:`insert`).  Raises ``KeyError`` for an unknown table
+        or column."""
+        encoded = self._encode_row(table, row)
+        targets = self.ensemble.touching(table)
+        if not targets:
+            raise KeyError(f"no RSPN covers table {table!r}")
+        out = []
+        for rspn in targets:
+            model_row = {
+                name: encoded.get(name)
+                for name in rspn.column_names
+                if name in encoded
+            }
+            if rspn.is_join_model:
+                model_row[qualify(table, "__present__")] = 1.0
+                for other in rspn.tables - {table}:
+                    model_row[qualify(other, "__present__")] = 0.0
+            out.append((rspn, model_row))
+        return out
 
     def commit_update_batch(self, pending):
         """Commit a staged batch: publish every touched RSPN's shadows

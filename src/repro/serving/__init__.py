@@ -17,8 +17,9 @@ This package turns that concurrency into batch shape:
   and are LRU-evicted under ``memory_budget_bytes`` -- one server can
   host a fleet of tenant models far larger than RAM;
 - :mod:`repro.serving.server` -- the fronts: the in-process
-  :class:`AsyncDeepDB` facade with admission control, and a stdlib
-  HTTP/JSON server (``repro serve`` / ``repro client`` in the CLI).
+  :class:`AsyncDeepDB` facade with admission control and its one
+  writer thread for update flushes, and a stdlib HTTP/JSON server
+  (``repro serve`` / ``repro client`` in the CLI).
 
 Minimal in-process use::
 

@@ -20,6 +20,8 @@ that name transparently pages it back in.  Models mutated since page-in
 (generation moved: inserts/deletes thawed the mapped tree) are **dirty**
 and never evicted, because their in-memory state is newer than the
 store file; the ``dirty_pins`` counter surfaces how many are pinned.
+A model with a write in flight (:meth:`ModelRegistry.writing`) is
+never evicted either, even before its commit moves the generation.
 Paging counters (``page_ins``, ``evictions``, ``resident_bytes``,
 cold-start ns) are exported by :meth:`stats` and ride ``GET /stats``.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 
 from repro.serving.session import ModelSession
 
@@ -138,24 +141,48 @@ class ModelRegistry:
         Store-backed models page in here on first use (and after an
         eviction), then count as the most recently used."""
         with self._lock:
-            if name is None:
-                names = set(self._sessions) | set(self._stores)
-                if len(names) != 1:
-                    raise LookupError(
-                        f"registry holds {len(names)} models; name one "
-                        f"of {sorted(names)}"
-                    )
-                name = next(iter(names))
-            session = self._sessions.get(name)
-            if session is not None:
-                self._sessions.move_to_end(name)
-                return session
-            entry = self._stores.get(name)
-            if entry is None:
+            return self._route(name)
+
+    @contextmanager
+    def writing(self, name=None):
+        """The session for ``name`` (routed as by :meth:`session`),
+        pinned in memory while the caller writes to it.
+
+        A write moves the generation only at its commit, so until then
+        the pager would take the model for clean; evicting it then
+        would commit the write into a dropped session and lose it.  The
+        pager skips a session while any write is in flight."""
+        with self._lock:
+            session = self._route(name)
+            if session.paging is not None:
+                session.paging["writes"] += 1
+        try:
+            yield session
+        finally:
+            if session.paging is not None:
+                with self._lock:
+                    session.paging["writes"] -= 1
+
+    def _route(self, name) -> ModelSession:
+        # Caller holds self._lock.
+        if name is None:
+            names = set(self._sessions) | set(self._stores)
+            if len(names) != 1:
                 raise LookupError(
-                    f"no model named {name!r}; registered: {self._names()}"
+                    f"registry holds {len(names)} models; name one "
+                    f"of {sorted(names)}"
                 )
-            return self._page_in(name, entry)
+            name = next(iter(names))
+        session = self._sessions.get(name)
+        if session is not None:
+            self._sessions.move_to_end(name)
+            return session
+        entry = self._stores.get(name)
+        if entry is None:
+            raise LookupError(
+                f"no model named {name!r}; registered: {self._names()}"
+            )
+        return self._page_in(name, entry)
 
     def _page_in(self, name, entry) -> ModelSession:
         # Caller holds self._lock.  mmap + twin import is millisecond-
@@ -179,6 +206,7 @@ class ModelRegistry:
             "cold_start_ns": cold_start_ns,
             "paged_generation": deepdb.generation,
             "dirty": False,
+            "writes": 0,  # in flight, see writing()
         }
         self._sessions[name] = session
         self._sessions.move_to_end(name)
@@ -197,7 +225,8 @@ class ModelRegistry:
         while self.resident_bytes > self.memory_budget_bytes:
             victim = None
             for name, session in self._sessions.items():  # oldest first
-                if name == keep or session.paging is None:
+                if (name == keep or session.paging is None
+                        or session.paging["writes"]):
                     continue
                 if session.deepdb.generation != session.paging["paged_generation"]:
                     # Mutated since page-in: the mapped tree was thawed

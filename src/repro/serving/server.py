@@ -7,13 +7,21 @@ coalescer -> batched session runner):
   async_db.cardinality(sql)`` from any number of concurrent tasks;
   temporally-close requests coalesce into one
   ``cardinality_batch``/``answer_batch`` call.  **Admission control**
-  caps the number of in-flight requests; beyond the cap submissions
-  fail fast with :class:`ServerOverloadedError` instead of growing the
-  queue without bound.
+  caps the number of in-flight requests and update ops; beyond the cap
+  submissions fail fast with :class:`ServerOverloadedError` instead of
+  growing the queue without bound.
 - :class:`ServingServer` -- a stdlib ``ThreadingHTTPServer`` speaking
   JSON, with a background event-loop thread hosting the coalescers.
   Handler threads submit through ``asyncio.run_coroutine_threadsafe``,
   so concurrent HTTP clients batch exactly like in-process tasks.
+
+A read never waits for a write to stage.  Query flushes run on the
+event loop; update flushes run on one writer thread the facade owns,
+one flush per model at a time (updates arriving meanwhile group into
+the next one, in order).  Staging (encoding, routing each batch node by node,
+histogram arithmetic) runs there against copy-on-write shadows while
+the loop keeps answering; the only section that excludes readers is
+the O(touched-nodes) commit under the session's write lock.
 
 Endpoints::
 
@@ -22,16 +30,19 @@ Endpoints::
     POST /update  {"op": "insert"|"delete", "table": ..., "row": {...},
                    "database": optional-model-name}
                   or batched: {"ops": [{"op", "table", "row"}, ...]} --
-                  the whole request flushes as one staged commit with
-                  per-slot results
+                  the whole request is one item of the update coalescer,
+                  so it flushes as one staged commit, with per-slot
+                  results
     GET  /stats   also carries "update_coalescers" (write-path batching)
                   and "drift_monitor" (when --drift-interval is set)
     GET  /stats   per-endpoint latency/throughput, coalescer occupancy,
                   cache and admission counters
     GET  /models  registered model names
 
-Overload maps to HTTP 503, bad requests (unknown model, parse errors)
-to 400, so clients can tell "back off" from "fix the query".
+Overload (reads or update ops beyond ``max_inflight``) maps to HTTP
+503, bad requests (unknown model, parse errors, an ``/update`` with
+more ops than ``max_inflight``) to 400, so clients can tell "back off"
+from "fix the query".
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import asyncio
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
@@ -59,7 +71,9 @@ class AsyncDeepDB:
     :class:`~repro.deepdb.DeepDB` (registered as ``"default"``).  One
     micro-batching coalescer is kept per model; mixed request kinds
     (cardinality / approximate / plan) share a flush, and the session
-    splits them onto the right batched entry points.
+    splits them onto the right batched entry points.  Updates go
+    through a second coalescer per model whose flushes run on the
+    facade's one writer thread; :meth:`close` joins it.
     """
 
     def __init__(self, models, max_batch_size=32, max_wait_ms=2.0,
@@ -81,8 +95,12 @@ class AsyncDeepDB:
         # Same, for the write path: concurrent inserts/deletes coalesce
         # into one session.apply_batch (one staged copy-on-write batch,
         # one generation bump per touched RSPN) instead of taking the
-        # write lock once per tuple.
+        # write lock once per tuple.  Those flushes run on the writer
+        # thread, one per model at a time, off the serving loop.
         self._update_coalescers: dict[str, tuple] = {}
+        self._writer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serving-writer"
+        )
         self._inflight = 0
         self.admitted = 0
         self.rejected = 0
@@ -108,18 +126,23 @@ class AsyncDeepDB:
         if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}; expected one of {KINDS}")
         session = self.registry.session(database)
-        if self._inflight >= self.max_inflight:
-            self.rejected += 1
-            raise ServerOverloadedError(
-                f"{self._inflight} requests in flight (cap {self.max_inflight}); "
-                "retry later"
-            )
-        self._inflight += 1
-        self.admitted += 1
+        self._admit(1)
         try:
             return await self._coalescer(session).submit(Request(kind, sql))
         finally:
             self._inflight -= 1
+
+    def _admit(self, n):
+        """Count ``n`` requests or update ops in flight, or refuse them
+        all when that would pass ``max_inflight``."""
+        if self._inflight + n > self.max_inflight:
+            self.rejected += n
+            raise ServerOverloadedError(
+                f"{self._inflight} requests in flight, {n} more asked "
+                f"(cap {self.max_inflight}); retry later"
+            )
+        self._inflight += n
+        self.admitted += n
 
     # ------------------------------------------------------------------
     # Updates (coalesced onto the batch write path)
@@ -137,36 +160,63 @@ class AsyncDeepDB:
         """Enqueue one update on the model's *update* coalescer.
 
         Temporally-close updates flush as one
-        :meth:`~repro.serving.session.ModelSession.apply_batch`: staged
-        against copy-on-write shadows while readers keep answering, then
-        committed as one staged commit with one generation bump per
-        touched RSPN.  A rejected op (unknown
-        table/column) raises only for its own caller -- the per-slot
-        coalescer contract."""
+        :meth:`~repro.serving.session.ModelSession.apply_batch` on the
+        writer thread: staged node by node against copy-on-write
+        shadows while the loop keeps answering reads, then committed
+        under the session's write lock -- the only section a read can
+        wait for -- with one generation bump per touched RSPN.  A
+        rejected op (unknown table/column) raises only for its own
+        caller -- the per-slot coalescer contract."""
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
-        session = self.registry.session(database)
-        return await self._update_coalescer(session).submit((op, table, row))
+        result = (await self.update_batch([(op, table, row)], database))[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     async def update_batch(self, ops, database=None) -> list:
         """Apply a client-supplied batch of ``(op, table, row)`` triples.
 
-        All ops join the same update coalescer (batchmates included),
-        so one HTTP request carrying 100 ops costs one staged commit.
+        The ops travel as **one** item of the update coalescer that
+        counts all of them against ``max_batch_size``, so a request
+        carrying 64 ops is one staged commit (one generation bump per
+        touched RSPN), never split across flushes.  Each op counts
+        against ``max_inflight``; a request with more ops than the cap
+        could never be admitted, so it is refused as a bad request
+        (``ValueError``), not as overload.  The model stays resident
+        until the flush is delivered (:meth:`ModelRegistry.writing`).
         Returns per-slot results: the post-commit generation, or the
-        rejecting exception instance."""
-        results = await asyncio.gather(
-            *(self.update(op, table, row, database) for op, table, row in ops),
-            return_exceptions=True,
-        )
-        return list(results)
+        rejecting exception instance (every slot holds the exception of
+        a flush that failed as a whole)."""
+        ops = list(ops)
+        if len(ops) > self.max_inflight:
+            raise ValueError(
+                f"{len(ops)} update ops in one request exceed the "
+                f"in-flight cap of {self.max_inflight}; split the batch"
+            )
+        with self.registry.writing(database) as session:
+            self._admit(len(ops))
+            try:
+                return await self._update_coalescer(session).submit(
+                    ops, size=len(ops)
+                )
+            except Exception as error:  # the whole flush failed
+                return [error] * len(ops)
+            finally:
+                self._inflight -= len(ops)
 
     async def drain(self):
-        """Flush every coalescer's pending requests immediately."""
+        """Flush every coalescer's pending requests immediately and wait
+        for the writer thread to deliver every update flush."""
         for _session, coalescer in list(self._coalescers.values()):
             await coalescer.drain()
         for _session, coalescer in list(self._update_coalescers.values()):
             await coalescer.drain()
+
+    def close(self):
+        """Join the writer thread once its queued flushes ran (await
+        :meth:`drain` first so nothing is still pending); idempotent."""
+        self._writer.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -191,9 +241,10 @@ class AsyncDeepDB:
         entry = self._update_coalescers.get(session.name)
         if entry is None or entry[0] is not session:
             coalescer = MicroBatchCoalescer(
-                session.apply_batch,
+                lambda requests: _apply_requests(session, requests),
                 max_batch_size=self.max_batch_size,
                 max_wait_ms=self.max_wait_ms,
+                executor=self._writer,
             )
             self._update_coalescers[session.name] = (session, coalescer)
             return coalescer
@@ -221,6 +272,18 @@ class AsyncDeepDB:
             "registry": self.registry.stats(),
             "models": self.registry.snapshot(),
         }
+
+
+def _apply_requests(session, requests):
+    """One update flush: every request's ops in one
+    :meth:`~repro.serving.session.ModelSession.apply_batch`, the
+    per-op results handed back per request."""
+    results = session.apply_batch([op for ops in requests for op in ops])
+    out, start = [], 0
+    for ops in requests:
+        out.append(results[start:start + len(ops)])
+        start += len(ops)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -437,10 +500,12 @@ class _Handler(BaseHTTPRequestHandler):
 class ServingServer:
     """HTTP front-end wiring: registry + coalescing loop + HTTP threads.
 
-    The asyncio loop (and with it every coalescer flush) runs on one
+    The asyncio loop (and with it every query flush) runs on one
     background thread; ``ThreadingHTTPServer`` handler threads submit
     coroutines into it and block on the result, so N concurrent HTTP
-    clients become one batch exactly like N in-process tasks.
+    clients become one batch exactly like N in-process tasks.  Update
+    flushes run on the :class:`AsyncDeepDB` writer thread, so a
+    ``/query`` never queues behind a ``/update`` that is staging.
     """
 
     def __init__(self, registry, host="127.0.0.1", port=8080,
@@ -509,7 +574,9 @@ class ServingServer:
         self._http.serve_forever()
 
     def close(self):
-        """Stop the HTTP server and the coalescing loop; idempotent."""
+        """Stop the HTTP server, the writer thread and the coalescing
+        loop; idempotent.  Pending requests flush first, so no
+        submitter is left waiting on a future nobody resolves."""
         if self._loop.is_closed():
             return
         if self.drift_monitor is not None:
@@ -520,13 +587,19 @@ class ServingServer:
         if self._http_thread is not None:
             self._http_thread.join(timeout=5)
             self._http_thread = None
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=5)
-        if not self._loop_thread.is_alive():
-            # Release the loop's selector/self-pipe fds; skipping this
-            # leaks an "unclosed event loop" ResourceWarning at GC (the
-            # CI spawn leg promotes those to failures).
-            self._loop.close()
+        try:
+            try:
+                self.call(self.async_db.drain())
+            finally:
+                self.async_db.close()
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._loop_thread.join(timeout=5)
+            if not self._loop_thread.is_alive():
+                # Release the loop's selector/self-pipe fds; skipping
+                # this leaks an "unclosed event loop" ResourceWarning at
+                # GC (the CI spawn leg promotes those to failures).
+                self._loop.close()
 
     def __enter__(self):
         return self.start()

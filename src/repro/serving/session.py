@@ -250,14 +250,17 @@ class ModelSession:
     def apply_batch(self, ops):
         """Apply a batch of ``(op, table, row)`` updates.
 
-        The streaming-ingest write path: the expensive part -- encoding,
-        routing and histogram arithmetic -- is *staged* against
-        copy-on-write shadows under the ingest lock only, so readers
-        keep answering from one consistent snapshot throughout.  The
-        exclusive write lock is held just for the commit: O(touched
-        nodes) pointer swaps plus one generation bump per touched RSPN
-        (never one per tuple).  Returns per-slot results: the
-        post-commit generation for applied ops, the validation
+        The streaming-ingest write path, run by the serving front-end's
+        writer thread (or the ingest :class:`~repro.ingest.BatchApplier`
+        thread), never by the loop that answers reads.  The expensive
+        part -- encoding, routing the batch node by node, histogram
+        arithmetic -- is *staged* against copy-on-write shadows under
+        the ingest lock only, so readers keep answering from one
+        consistent snapshot throughout.  The exclusive write lock is
+        held just for the commit -- the only section a read can wait
+        for: O(touched nodes) pointer swaps plus one generation bump per
+        touched RSPN (never one per tuple).  Returns per-slot results:
+        the post-commit generation for applied ops, the validation
         ``Exception`` for rejected ones (the coalescer's contract).
         """
         with self._ingest_lock:

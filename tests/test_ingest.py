@@ -8,14 +8,18 @@ The load-bearing properties, all asserted with ``==`` (never allclose):
 - one batch costs one generation bump per touched RSPN, not one per
   tuple;
 - concurrent readers racing a stream of batches only ever observe one
-  of the serially-reachable snapshot states -- never a torn tree.
+  of the serially-reachable snapshot states -- never a torn tree;
+- a read never waits for an update flush to stage: the serving loop
+  answers while the writer thread stages.
 """
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,13 +28,22 @@ import pytest
 
 from repro.core import compiled
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
-from repro.core.leaves import BinnedLeaf, DiscreteLeaf
+from repro.core.leaves import DiscreteLeaf
 from repro.core.nodes import SumNode
+from repro.core.updates import TreeBatch, update_tuple
 from repro.deepdb import DeepDB
 from repro.ingest import BatchApplier, DriftMonitor, QueueClosed, UpdateOp, UpdateQueue
-from repro.serving import ModelRegistry, start_server
+from repro.serving import AsyncDeepDB, ModelRegistry, start_server
 from repro.serving.session import ModelSession, Request
+from repro.stats.kmeans import KMeans
 from tests.conftest import build_customer_orders
+from tests.test_nodes_inference import _random_spn
+from tests.update_reference import (
+    assert_states_equal,
+    model_state,
+    serial_apply,
+    tree_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,38 +58,6 @@ def _clone(deepdb):
     # rewrap, so twins share nothing while answering identically.
     database, ensemble = copy.deepcopy((deepdb.database, deepdb.ensemble))
     return DeepDB(database, ensemble)
-
-
-def _tree_state(root):
-    """Every mutable array of the tree, in post-order -- the bit-identity
-    comparison vocabulary."""
-    state = []
-    for node in compiled.post_order(root):
-        if isinstance(node, SumNode):
-            state.append(np.asarray(node.counts, dtype=float).copy())
-        elif isinstance(node, DiscreteLeaf):
-            state.append(np.asarray(node.values, dtype=float).copy())
-            state.append(np.asarray(node.counts, dtype=float).copy())
-            state.append(np.asarray([node.null_count], dtype=float))
-        elif isinstance(node, BinnedLeaf):
-            state.append(np.asarray(node.counts, dtype=float).copy())
-            state.append(np.asarray(node.sums, dtype=float).copy())
-            state.append(np.asarray([node.null_count], dtype=float))
-    return state
-
-
-def _assert_states_equal(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y, equal_nan=True)
-
-
-def _model_state(deepdb):
-    state = []
-    for rspn in deepdb.ensemble.rspns:
-        state.append(np.asarray([rspn.full_size, rspn.sample_size]))
-        state.extend(_tree_state(rspn.root))
-    return state
 
 
 MIXED_OPS = (
@@ -138,21 +119,143 @@ class TestUpdateQueue:
 # ----------------------------------------------------------------------
 # Batch == serial bit-identity
 # ----------------------------------------------------------------------
-class TestBatchBitIdentity:
-    def test_batch_commit_equals_serial_twin(self, template_deepdb):
-        """One staged batch lands on exactly the state N serial
-        insert/delete calls produce -- arrays compared with ``==``."""
-        batched = _clone(template_deepdb)
-        serial = _clone(template_deepdb)
+BATCH_SIZES = (1, 2, 31, 64)
 
-        results = batched.apply_update_batch(MIXED_OPS)
-        assert not any(isinstance(r, Exception) for r in results)
-        for op, table, row in MIXED_OPS:
-            if op == "insert":
-                serial.insert(table, row)
-            else:
-                serial.delete(table, row)
-        _assert_states_equal(_model_state(batched), _model_state(serial))
+
+@pytest.fixture(scope="module")
+def learned_imdb(tiny_imdb):
+    return DeepDB.learn(tiny_imdb, EnsembleConfig(sample_size=3_000))
+
+
+def _customer_ops(rng, n=96):
+    """Existing and brand-new ages (``np.insert``), NULLs, and deletes
+    that drive a leaf count past zero (the clamp)."""
+    ops = list(MIXED_OPS)
+    while len(ops) < n:
+        age = float(rng.choice([23.0, 40.0, 71.0, 150.5, 999.0]))
+        region = rng.choice(["EU", "ASIA", None])
+        row = {"region": region, "age": None if rng.random() < 0.1 else age}
+        ops.append(("insert", "customer", row))
+        if rng.random() < 0.3:
+            ops.extend([("delete", "customer", row)] * 3)
+        if rng.random() < 0.2:
+            ops.append(("insert", "orders", {"channel": "STORE"}))
+    return ops
+
+
+def _imdb_ops(rng, database, n=96):
+    """Sampled rows (some NULLed, some with unseen years or orders),
+    and deletes of earlier inserts, repeated past their count."""
+    ops, inserted = [], []
+    while len(ops) < n:
+        if inserted and rng.random() < 0.25:
+            table, row = inserted[int(rng.integers(0, len(inserted)))]
+            ops.extend([("delete", table, row)] * int(rng.integers(1, 4)))
+            continue
+        table = str(rng.choice(["title", "cast_info", "movie_keyword"]))
+        source = database.table(table)
+        pick = int(rng.integers(0, source.n_rows))
+        row = {}
+        for attribute in source.schema.non_key_attributes:
+            if attribute.name.startswith("F__"):
+                continue
+            value = source.decode_value(
+                attribute.name, source.columns[attribute.name][pick]
+            )
+            if value is not None and not isinstance(value, str):
+                value = float(value)
+                if rng.random() < 0.2:
+                    value += 1_000.0 + float(rng.integers(0, 3))  # unseen
+            row[attribute.name] = None if rng.random() < 0.1 else value
+        ops.append(("insert", table, row))
+        inserted.append((table, row))
+    return ops
+
+
+def _random_tree(seed):
+    """A random SPN with discrete and binned leaves whose sum nodes
+    route by k-means half of the time, by the count argmax otherwise.
+    Counts are small, so a short delete-heavy stream clamps them."""
+    rng = np.random.default_rng(seed)
+    root = _random_spn(rng, range(4), depth=3)
+    for node in compiled.post_order(root):
+        if isinstance(node, SumNode):
+            node.counts = rng.uniform(0.5, 6.0, len(node.children))
+            if rng.random() < 0.5:
+                node.kmeans = KMeans(
+                    n_clusters=len(node.children), seed=seed
+                ).fit(rng.normal(size=(40, len(node.scope))))
+        else:
+            node.null_count = float(rng.integers(0, 3))
+    return root
+
+
+def _random_stream(seed, n=96):
+    """Rows over the random trees' domains (unseen discrete values and
+    NULLs included) with a delete share high enough to clamp counts."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(np.arange(-6.0, 17.0), size=(n, 4))
+    binned = rng.random((n, 4)) < 0.3
+    rows[binned] = rng.normal(0.0, 40.0, binned.sum())
+    rows[rng.random((n, 4)) < 0.1] = np.nan
+    # Odd seeds mostly delete: argmax-routed sums drain to all-zero
+    # counts, where the clamp and the first-index tie-break decide.
+    signs = np.where(rng.random(n) < (0.8 if seed % 2 else 0.45), -1.0, 1.0)
+    return rows, signs
+
+
+class TestBatchBitIdentity:
+    def test_batch_commit_equals_serial_twin(
+        self, template_deepdb, learned_imdb, tiny_imdb
+    ):
+        """Staged batches land on exactly the state the serial
+        :func:`update_tuple` path produces, one tuple at a time --
+        arrays compared with ``==``, at every batch size, on learned
+        customer/orders and IMDb ensembles and on random trees with
+        argmax-routed sum nodes, binned leaves, NULLs, unseen values and
+        deletes clamped at zero."""
+        rng = np.random.default_rng(11)
+        for template, ops in (
+            (template_deepdb, _customer_ops(rng)),
+            (learned_imdb, _imdb_ops(rng, tiny_imdb)),
+        ):
+            serial = _clone(template)
+            serial_apply(serial, ops)
+            for size in BATCH_SIZES:
+                batched = _clone(template)
+                for start in range(0, len(ops), size):
+                    chunk = ops[start:start + size]
+                    results = batched.apply_update_batch(chunk)
+                    assert not any(isinstance(r, Exception) for r in results)
+                assert_states_equal(
+                    model_state(batched), model_state(serial)
+                )
+
+        clamped = argmax_routed = grown = 0
+        for seed in range(6):
+            template = _random_tree(seed)
+            rows, signs = _random_stream(seed)
+            serial = copy.deepcopy(template)
+            for row, sign in zip(rows, signs):
+                update_tuple(serial, row, sign)
+            for size in BATCH_SIZES:
+                batched = copy.deepcopy(template)
+                for start in range(0, len(signs), size):
+                    batch = TreeBatch(batched)
+                    batch.stage_rows(
+                        rows[start:start + size], signs[start:start + size]
+                    )
+                    batch.commit()
+                assert_states_equal(tree_state(batched), tree_state(serial))
+            before = compiled.post_order(template)
+            for old, new in zip(before, compiled.post_order(serial)):
+                if isinstance(new, SumNode):
+                    clamped += int((new.counts == 0).any())
+                    argmax_routed += new.kmeans is None
+                elif isinstance(new, DiscreteLeaf):
+                    grown += new.values.shape[0] > old.values.shape[0]
+        # The streams reached every path the batched stager must match.
+        assert clamped and argmax_routed and grown
 
     def test_one_generation_bump_per_touched_rspn(self, template_deepdb):
         deepdb = _clone(template_deepdb)
@@ -181,10 +284,10 @@ class TestBatchBitIdentity:
 
     def test_staging_does_not_mutate_until_commit(self, template_deepdb):
         deepdb = _clone(template_deepdb)
-        state_before = _model_state(deepdb)
+        state_before = model_state(deepdb)
         generation = deepdb.generation
         pending = deepdb.stage_update_batch(MIXED_OPS)
-        _assert_states_equal(_model_state(deepdb), state_before)
+        assert_states_equal(model_state(deepdb), state_before)
         assert deepdb.generation == generation
         deepdb.commit_update_batch(pending)
         assert deepdb.generation > generation
@@ -335,7 +438,7 @@ class TestUpdateValidation:
         explicit = _clone(template_deepdb)
         partial.insert("customer", {"age": 33.0})
         explicit.insert("customer", {"age": 33.0, "region": None})
-        _assert_states_equal(_model_state(partial), _model_state(explicit))
+        assert_states_equal(model_state(partial), model_state(explicit))
 
     def test_batch_isolates_bad_slots(self, template_deepdb):
         """The per-slot contract: a bad op fails alone, its batchmates
@@ -349,7 +452,7 @@ class TestUpdateValidation:
         assert isinstance(results[1], KeyError)
         assert results[0] == results[2] == deepdb.generation
         twin.apply_update_batch([good, good])
-        _assert_states_equal(_model_state(deepdb), _model_state(twin))
+        assert_states_equal(model_state(deepdb), model_state(twin))
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +523,7 @@ class TestSessionIngest:
         torn = [value for value in observed if value not in allowed]
         assert torn == []
         assert float(deepdb.cardinality_batch([probe])[0]) == allowed[-1]
-        _assert_states_equal(_model_state(deepdb), _model_state(twin))
+        assert_states_equal(model_state(deepdb), model_state(twin))
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +554,7 @@ class TestBatchApplier:
         # Bit-identical to the same stream applied serially.
         for op in ops:
             twin.insert(op.table, op.row)
-        _assert_states_equal(_model_state(deepdb), _model_state(twin))
+        assert_states_equal(model_state(deepdb), model_state(twin))
 
     def test_applier_survives_rejected_ops(self, template_deepdb):
         deepdb = _clone(template_deepdb)
@@ -470,16 +573,17 @@ class TestBatchApplier:
 # ----------------------------------------------------------------------
 # HTTP batched /update
 # ----------------------------------------------------------------------
-class TestHttpBatchedUpdate:
-    def _post(self, url, path, body):
-        request = urllib.request.Request(
-            url + path,
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return json.loads(response.read().decode("utf-8"))
+def _post(url, path, body, timeout=30):
+    request = urllib.request.Request(
+        url + path,
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return json.loads(response.read().decode("utf-8"))
 
+
+class TestHttpBatchedUpdate:
     def test_batched_update_round_trip(self, template_deepdb):
         deepdb = _clone(template_deepdb)
         twin = _clone(template_deepdb)
@@ -493,7 +597,7 @@ class TestHttpBatchedUpdate:
              "row": {"region": "ASIA", "age": 25}},
         ]
         with start_server(registry) as server:
-            payload = self._post(server.url, "/update", {"ops": ops})
+            payload = _post(server.url, "/update", {"ops": ops})
             assert payload["ok"] is False  # one slot rejected
             assert payload["applied"] == 2
             assert payload["generation"] == deepdb.generation
@@ -502,7 +606,7 @@ class TestHttpBatchedUpdate:
             assert not slots[1]["ok"] and "bogus" in slots[1]["error"]
 
             # Legacy single-op form still works and bumps the generation.
-            single = self._post(server.url, "/update", {
+            single = _post(server.url, "/update", {
                 "op": "insert", "table": "customer",
                 "row": {"region": "EU", "age": 30},
             })
@@ -513,7 +617,7 @@ class TestHttpBatchedUpdate:
             ("delete", "customer", {"region": "ASIA", "age": 25}),
         ])
         twin.insert("customer", {"region": "EU", "age": 30})
-        _assert_states_equal(_model_state(deepdb), _model_state(twin))
+        assert_states_equal(model_state(deepdb), model_state(twin))
 
     def test_batched_update_validation_errors(self, template_deepdb):
         deepdb = _clone(template_deepdb)
@@ -521,13 +625,211 @@ class TestHttpBatchedUpdate:
         registry.register("m", deepdb)
         with start_server(registry) as server:
             with pytest.raises(urllib.error.HTTPError) as empty:
-                self._post(server.url, "/update", {"ops": []})
+                _post(server.url, "/update", {"ops": []})
+            empty.value.close()
             assert empty.value.code == 400
             with pytest.raises(urllib.error.HTTPError) as bad_op:
-                self._post(server.url, "/update", {
+                _post(server.url, "/update", {
                     "ops": [{"op": "upsert", "table": "customer", "row": {}}],
                 })
+            bad_op.value.close()
             assert bad_op.value.code == 400
+
+
+# ----------------------------------------------------------------------
+# The writer thread: update flushes never block the serving loop
+# ----------------------------------------------------------------------
+PROBE = "SELECT COUNT(*) FROM customer WHERE customer.age > 30"
+
+
+class _HeldStaging:
+    """Patch ``DeepDB.stage_update_batch`` to wait (bounded) for
+    :meth:`release` once staging began; records the staging threads."""
+
+    def __init__(self, monkeypatch, timeout=10.0):
+        self.started = threading.Event()
+        self.released = threading.Event()
+        self.finished = threading.Event()
+        self.threads = []
+        original = DeepDB.stage_update_batch
+
+        def held(deepdb, ops):
+            self.threads.append(threading.current_thread())
+            self.started.set()
+            self.released.wait(timeout)
+            try:
+                return original(deepdb, ops)
+            finally:
+                self.finished.set()
+
+        monkeypatch.setattr(DeepDB, "stage_update_batch", held)
+
+    def release(self):
+        self.released.set()
+
+
+class TestWriterThread:
+    def test_reads_answer_while_an_update_stages(
+        self, template_deepdb, monkeypatch
+    ):
+        """A ``/query`` over HTTP and an in-process ``cardinality`` both
+        return while an update flush is held mid-stage."""
+        deepdb = _clone(template_deepdb)
+        expected = deepdb.cardinality(PROBE)
+        hold = _HeldStaging(monkeypatch)
+        registry = ModelRegistry()
+        registry.register("m", deepdb, cache_size=0)
+        update = {"op": "insert", "table": "customer",
+                  "row": {"region": "EU", "age": 44}}
+        with start_server(registry) as server:
+            answers = {}
+            writer = threading.Thread(target=lambda: answers.setdefault(
+                "update", _post(server.url, "/update", {"ops": [update]})
+            ))
+            writer.start()
+            try:
+                assert hold.started.wait(10)
+                read = _post(server.url, "/query", {"sql": PROBE}, timeout=5)
+                assert not hold.finished.is_set()  # answered mid-stage
+                assert read["value"] == expected
+            finally:
+                hold.release()
+                writer.join(15)
+            assert answers["update"]["applied"] == 1
+
+        expected = deepdb.cardinality(PROBE)
+        hold = _HeldStaging(monkeypatch)
+        async_db = AsyncDeepDB(deepdb, cache_size=0)
+
+        async def scenario():
+            pending = asyncio.ensure_future(async_db.update_batch(
+                [("insert", "customer", {"region": "ASIA", "age": 35.0})]
+            ))
+            try:
+                for _ in range(1_000):
+                    if hold.started.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                value = await asyncio.wait_for(
+                    async_db.cardinality(PROBE), timeout=5
+                )
+                mid_stage = not hold.finished.is_set()
+            finally:
+                hold.release()
+            return value, mid_stage, await asyncio.wait_for(pending, 15)
+
+        try:
+            value, mid_stage, results = asyncio.run(scenario())
+        finally:
+            async_db.close()
+        assert mid_stage
+        assert value == expected
+        assert results == [deepdb.generation]
+
+    def test_sequential_updates_equal_a_serial_twin(self, template_deepdb):
+        deepdb = _clone(template_deepdb)
+        twin = _clone(template_deepdb)
+        registry = ModelRegistry()
+        registry.register("m", deepdb)
+        rng = np.random.default_rng(3)
+        requests = [_customer_ops(rng, n=40)[-40:] for _ in range(4)]
+        with start_server(registry) as server:
+            for ops in requests:
+                payload = _post(server.url, "/update", {"ops": [
+                    {"op": op, "table": table, "row": row}
+                    for op, table, row in ops
+                ]})
+                assert payload["applied"] == len(ops)
+            stats = server.stats()["serving"]["update_coalescers"]["m"]
+        # One request, one flush: its ops are never split.
+        assert stats["flushes"] == len(requests)
+        assert stats["max_occupancy"] == 40
+        for ops in requests:
+            serial_apply(twin, ops)
+        assert_states_equal(model_state(deepdb), model_state(twin))
+
+    def test_updates_arriving_mid_stage_group_into_one_flush(
+        self, template_deepdb, monkeypatch
+    ):
+        """One flush stages at a time: requests submitted while it is
+        held all join the next flush (one commit), in order."""
+        deepdb = _clone(template_deepdb)
+        twin = _clone(template_deepdb)
+        hold = _HeldStaging(monkeypatch)
+        async_db = AsyncDeepDB(deepdb)
+        rng = np.random.default_rng(5)
+        requests = [_customer_ops(rng, n=8)[-8:] for _ in range(5)]
+
+        async def scenario():
+            first = asyncio.ensure_future(async_db.update_batch(requests[0]))
+            try:
+                for _ in range(1_000):
+                    if hold.started.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                rest = []
+                for ops in requests[1:]:  # each past max_wait_ms alone
+                    rest.append(asyncio.ensure_future(
+                        async_db.update_batch(ops)
+                    ))
+                    await asyncio.sleep(0.02)
+            finally:
+                hold.release()
+            return await asyncio.wait_for(asyncio.gather(first, *rest), 15)
+
+        try:
+            results = asyncio.run(scenario())
+        finally:
+            async_db.close()
+        stats = async_db.stats()["update_coalescers"]["default"]
+        assert stats["flushes"] == 2
+        assert stats["max_occupancy"] == 8 * (len(requests) - 1)
+        assert all(isinstance(r, int) for slots in results for r in slots)
+        for ops in requests:
+            serial_apply(twin, ops)
+        assert_states_equal(model_state(deepdb), model_state(twin))
+
+    def test_close_joins_the_writer_and_resolves_every_future(
+        self, template_deepdb, monkeypatch
+    ):
+        """``close()`` while one update flush is held mid-stage and a
+        second waits behind it: both answer, the writer thread exits."""
+        deepdb = _clone(template_deepdb)
+        hold = _HeldStaging(monkeypatch)
+        registry = ModelRegistry()
+        registry.register("m", deepdb)
+        server = start_server(registry)
+        answers = []
+
+        def post(age):
+            answers.append(_post(server.url, "/update", {"ops": [
+                {"op": "insert", "table": "customer",
+                 "row": {"region": "EU", "age": age}},
+            ]}))
+
+        clients = [threading.Thread(target=post, args=(age,))
+                   for age in (50, 51)]
+        closer = threading.Thread(target=server.close)
+        try:
+            clients[0].start()
+            assert hold.started.wait(10)
+            clients[1].start()
+            for _ in range(500):  # the second waits behind the first
+                entry = server.async_db._update_coalescers.get("m")
+                if entry is not None and entry[1].pending == 1:
+                    break
+                time.sleep(0.01)
+            closer.start()
+            time.sleep(0.1)  # let close() reach the held flush
+        finally:
+            hold.release()
+            for thread in (closer, *clients):
+                if thread.ident is not None:
+                    thread.join(15)
+            server.close()  # idempotent
+        assert not closer.is_alive()
+        assert [a["applied"] for a in answers] == [1, 1]
+        assert hold.threads and not any(t.is_alive() for t in hold.threads)
 
 
 # ----------------------------------------------------------------------

@@ -251,7 +251,7 @@ class TestAbsorbBatching:
 
         from repro.core.maintenance import delta_database
         from repro.engine.join import qualify
-        from tests.test_ingest import _assert_states_equal, _tree_state
+        from tests.update_reference import assert_states_equal, tree_state
 
         database = _independent_db(seed=40)
         ensemble = learn_ensemble(database, _config())
@@ -296,8 +296,8 @@ class TestAbsorbBatching:
         for batched, serial in zip(ensemble.rspns, twin.rspns):
             assert batched.full_size == serial.full_size
             assert batched.sample_size == serial.sample_size
-            _assert_states_equal(
-                _tree_state(batched.root), _tree_state(serial.root)
+            assert_states_equal(
+                tree_state(batched.root), tree_state(serial.root)
             )
             # One absorb = one invalidation, not one per tuple.
             assert batched.generation == 1

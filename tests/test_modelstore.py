@@ -30,6 +30,7 @@ from repro.core.modelstore import (
 from repro.deepdb import DeepDB
 from repro.serving import AsyncDeepDB, ModelRegistry, Request
 from tests.conftest import build_customer_orders, mapped_store_files
+from tests.test_ingest import _HeldStaging
 from tests.reference_sweep import reference_sweep
 
 CARDINALITY_SQLS = [
@@ -480,6 +481,52 @@ class TestPager:
         assert again.run_one(
             Request("cardinality", CARDINALITY_SQLS[1])
         ) == dirty_answer
+
+    def test_model_with_a_write_in_flight_is_never_evicted(
+        self, fleet, expected, monkeypatch
+    ):
+        """An update flush stages on the writer thread while the loop
+        pages other models in.  The model being written still looks
+        clean (its generation moves only at commit), yet evicting it
+        would commit into a dropped session and lose the update."""
+        import asyncio
+
+        registry, _paths, _budget = fleet
+        hold = _HeldStaging(monkeypatch)
+        async_db = AsyncDeepDB(registry)
+        row = {"c_id": 876_543, "region": "EU", "age": 41}
+
+        async def scenario():
+            pending = asyncio.ensure_future(async_db.update_batch(
+                [("insert", "customer", row)], "alpha"
+            ))
+            try:
+                for _ in range(1_000):
+                    if hold.started.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                assert hold.started.is_set()
+                for name in ("beta", "gamma"):  # over budget with alpha
+                    await asyncio.wait_for(
+                        async_db.cardinality(CARDINALITY_SQLS[1], name), 10
+                    )
+            finally:
+                hold.release()
+            return await asyncio.wait_for(pending, 15)
+
+        alpha = registry.session("alpha")
+        try:
+            (result,) = asyncio.run(scenario())
+        finally:
+            async_db.close()
+        assert result == alpha.deepdb.generation
+        assert registry.snapshot()["alpha"].get("resident") is True
+        again = registry.session("alpha")
+        assert again is alpha  # never evicted, so the update survives
+        assert again.run_one(
+            Request("cardinality", CARDINALITY_SQLS[1])
+        ) != expected[0][1]
+        assert registry.stats()["resident_bytes"] > _budget  # alpha pinned
 
     def test_unnamed_routing_to_single_store(self, live, database, tmp_path):
         path = tmp_path / "only.rspn"

@@ -8,6 +8,7 @@ equivalence tests above them observe an untouched model.
 from __future__ import annotations
 
 import asyncio
+import copy
 import http.client
 import io
 import json
@@ -238,6 +239,58 @@ class TestSessionAndRegistry:
         admission = async_db.stats()["admission"]
         assert admission["admitted"] == 2
         assert admission["rejected"] == 1
+
+    def test_admission_counts_update_ops(self, served_deepdb):
+        """Update ops count against ``max_inflight`` like reads do: a
+        batch that would pass the cap is refused whole (overload, HTTP
+        503), admitted ops in flight hold back reads, and a batch larger
+        than the cap itself is a bad request (HTTP 400), since retrying
+        it could never succeed."""
+        deepdb = DeepDB(*copy.deepcopy(
+            (served_deepdb.database, served_deepdb.ensemble)
+        ))
+        generation = deepdb.generation
+        ops = [("insert", "customer", {"region": "EU", "age": 30.0})] * 3
+        async_db = AsyncDeepDB(deepdb, max_inflight=3)
+
+        async def scenario():
+            with pytest.raises(ValueError, match="in-flight cap of 3"):
+                await async_db.update_batch(ops * 2)
+            writes = asyncio.ensure_future(async_db.update_batch(ops))
+            await asyncio.sleep(0)  # all three admitted, awaiting a flush
+            with pytest.raises(ServerOverloadedError):
+                await async_db.update_batch(ops[:1])
+            with pytest.raises(ServerOverloadedError):
+                await async_db.cardinality(CARDINALITY_SQLS[0])
+            assert deepdb.generation == generation  # nothing refused ran
+            return await asyncio.wait_for(writes, 30)
+
+        try:
+            results = asyncio.run(scenario())
+        finally:
+            async_db.close()
+        assert results == [deepdb.generation] * 3
+        admission = async_db.stats()["admission"]
+        assert admission["rejected"] == 2  # one op, then one read
+        assert admission["inflight"] == 0
+
+        generation = deepdb.generation
+        registry = ModelRegistry()
+        registry.register("orders_db", deepdb)
+        with start_server(registry, max_inflight=2) as server:
+            request = urllib.request.Request(
+                server.url + "/update",
+                data=json.dumps({"ops": [
+                    {"op": op, "table": table, "row": row}
+                    for op, table, row in ops
+                ]}).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=30)
+            refused.value.close()
+            assert refused.value.code == 400
+            assert deepdb.generation == generation
 
     def test_read_write_lock_excludes_writers(self):
         lock = ReadWriteLock()
