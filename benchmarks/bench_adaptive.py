@@ -3,10 +3,10 @@
 Three legs, all recorded into ``BENCH_optimizer.json``:
 
 - **Plan cache**: cold planning (estimator prefetch + DP enumeration
-  over a learned DeepDB ensemble) vs a shape-keyed cache hit.  The hit
-  must be at least 10x faster -- the cache's whole point is that a
-  serving workload repeating the same query shapes stops paying the
-  compiled sweep per plan.
+  over a learned DeepDB ensemble) vs a cache hit.  The hit must be at
+  least 10x faster -- the cache's whole point is that a serving
+  workload repeating the same queries stops paying the compiled sweep
+  per plan.
 - **Adversarial replanning**: exact-truth estimates with one planted
   128x under-estimate per query (the largest true 2-table subset and
   its strict supersets), the classic correlated-join trap that steers a
@@ -38,7 +38,6 @@ from repro.engine.table import Database, Table
 from repro.schema.schema import Attribute, SchemaGraph, TableSchema
 from repro.estimator import CardinalityEstimator
 from repro.evaluation.report import Report
-from repro.feedback import QueryFeaturizer
 from repro.optimizer import (
     PlanCache,
     SubqueryCardinalities,
@@ -261,7 +260,7 @@ def test_plan_cache_hit_is_10x_faster_than_cold_planning(
         oracle = SubqueryCardinalities(compiler, query)
         return optimal_plan(query, database.schema, oracle)
 
-    cache = PlanCache(featurizer=QueryFeaturizer(database))
+    cache = PlanCache()
     epoch = cache_epoch(compiler)
     oracle = SubqueryCardinalities(compiler, query)
     plan, cost = optimal_plan(query, database.schema, oracle)
@@ -275,7 +274,7 @@ def test_plan_cache_hit_is_10x_faster_than_cold_planning(
     speedup = cold_seconds / hit_seconds
 
     report = Report(
-        "Plan cache: cold planning vs shape-keyed hit",
+        "Plan cache: cold planning vs cache hit",
         ["path", "seconds", "speedup"],
     )
     report.add("cold (prefetch + DP)", cold_seconds, 1.0)

@@ -69,7 +69,6 @@ _SERVING_PATH = os.path.join(os.path.dirname(__file__), "BENCH_serving.json")
 _MODELSTORE_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_modelstore.json"
 )
-_FEEDBACK_PATH = os.path.join(os.path.dirname(__file__), "BENCH_feedback.json")
 _INGEST_PATH = os.path.join(os.path.dirname(__file__), "BENCH_ingest.json")
 # path -> the session's named timing records destined for that file.
 _TRAJECTORIES: dict = {}
@@ -94,8 +93,6 @@ record_optimizer_timing = _recorder(_OPTIMIZER_PATH)
 record_serving_timing = _recorder(_SERVING_PATH)
 # BENCH_modelstore.json: mmapped cold start vs JSON, pager counters.
 record_modelstore_timing = _recorder(_MODELSTORE_PATH)
-# BENCH_feedback.json: residual-corrector accuracy and overhead.
-record_feedback_timing = _recorder(_FEEDBACK_PATH)
 # BENCH_ingest.json: streaming-ingest throughput.
 record_ingest_timing = _recorder(_INGEST_PATH)
 
@@ -141,13 +138,6 @@ def record_modelstore_timing_fixture():
     """Fixture handing benches the :func:`record_modelstore_timing`
     recorder (BENCH_modelstore.json)."""
     return record_modelstore_timing
-
-
-@pytest.fixture(scope="session", name="record_feedback_timing")
-def record_feedback_timing_fixture():
-    """Fixture handing benches the :func:`record_feedback_timing`
-    recorder (BENCH_feedback.json)."""
-    return record_feedback_timing
 
 
 @pytest.fixture(scope="session", name="record_ingest_timing")

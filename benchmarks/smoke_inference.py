@@ -134,8 +134,6 @@ def main():
         return 1
     if _smoke_ml_heads(database, ensemble):
         return 1
-    if _smoke_feedback(database, ensemble):
-        return 1
     if _smoke_join_ordering():
         return 1
     if _smoke_adaptive(database, ensemble):
@@ -477,100 +475,6 @@ def _smoke_ml_heads(database, ensemble, n_rows=12):
         print("FAIL: batched classifier disagrees with predict_one")
         return 1
     print(f"OK: batched ML heads match the scalar loop on {len(rows)} rows "
-          f"({time.perf_counter() - start:.1f}s)")
-    return 0
-
-
-def _smoke_feedback(database, ensemble):
-    """Workload-feedback smoke: observe-mode serving logs every estimate
-    without changing answers, and a corrector trained on the executed
-    workload never regresses the held-out q-error.
-
-    Drives concurrent clients through the async facade over an
-    ``observe``-mode model (answers must match serving without a
-    corrector to 1e-9, the same-batch comparison must be bit-identical),
-    checks the ``/stats`` snapshot surfaces the log counters, then
-    labels a workload with the exact executor and trains: the commit
-    guard either improves the held-out median q-error or rolls the
-    candidate back (counted), so the estimate quality can only move one
-    way.
-    """
-    import asyncio
-
-    from repro.deepdb import DeepDB
-    from repro.engine.executor import Executor
-    from repro.serving import AsyncDeepDB
-
-    start = time.perf_counter()
-    deepdb = DeepDB(database, ensemble, corrector="observe")
-    queries = _workload(database, 16, seed=37)
-    raw = [float(v) for v in deepdb.compiler.cardinality_batch(queries)]
-
-    # Same-batch bit-identity: observe must be ==, not merely close.
-    observed = [float(v) for v in deepdb.cardinality_batch(queries)]
-    if observed != raw:
-        print("FAIL: observe-mode estimates are not bit-identical to the "
-              "raw compiler batch")
-        return 1
-
-    async_db = AsyncDeepDB(deepdb, max_batch_size=8, max_wait_ms=2.0,
-                           cache_size=0)
-    sqls = [q.describe() for q in queries]
-    answers = [None] * len(queries)
-
-    async def client(i):
-        answers[i] = await async_db.cardinality(sqls[i])
-
-    async def closed_loop():
-        await asyncio.gather(*(client(i) for i in range(len(queries))))
-
-    asyncio.run(closed_loop())
-    if not np.allclose(answers, raw, rtol=1e-9, atol=1e-9):
-        print("FAIL: observe-mode serving answers disagree with the raw "
-              "compiler")
-        return 1
-    snapshot = async_db.stats()["models"]["default"].get("feedback")
-    if snapshot is None or snapshot["logged"] < 2 * len(queries):
-        print(f"FAIL: /stats feedback counters missing or short "
-              f"({snapshot})")
-        return 1
-
-    # Label a workload with the exact executor and train the corrector.
-    truth = Executor(database)
-    labeled = _workload(database, 48, seed=41)
-    estimates = [float(v) for v in deepdb.compiler.cardinality_batch(labeled)]
-    for query, estimate in zip(labeled, estimates):
-        deepdb.feedback.observe_execution(
-            query, estimate, truth.cardinality(query),
-            generation=deepdb.generation,
-        )
-    record = deepdb.feedback.trainer.train_now()
-    if record is None:
-        print("FAIL: trainer skipped a 48-label workload as too thin")
-        return 1
-    stats = deepdb.feedback_stats()
-    if stats["labeled"] < len(labeled):
-        print(f"FAIL: labeled observations missing from stats ({stats})")
-        return 1
-    if record["committed"]:
-        if record["holdout_q_error_after"] > record["holdout_q_error_before"]:
-            print(f"FAIL: committed corrector regressed the held-out "
-                  f"q-error ({record})")
-            return 1
-        outcome = (
-            f"committed (held-out median q-error "
-            f"{record['holdout_q_error_before']:.3f} -> "
-            f"{record['holdout_q_error_after']:.3f})"
-        )
-    else:
-        if deepdb.feedback.trainer.rollbacks < 1:
-            print(f"FAIL: uncommitted training not counted as a rollback "
-                  f"({record})")
-            return 1
-        outcome = "rolled back (held-out q-error would have regressed)"
-    print(f"OK: observe-mode serving logged {snapshot['logged']} estimates "
-          f"bit-identically, {len(labeled)} labeled executions trained the "
-          f"corrector, {outcome} "
           f"({time.perf_counter() - start:.1f}s)")
     return 0
 

@@ -77,29 +77,12 @@ def _build_database(args):
     return generator.generate(scale=args.scale, seed=args.seed)
 
 
-def _add_corrector_argument(parser):
-    parser.add_argument(
-        "--corrector", choices=("off", "observe", "apply"), default="off",
-        help="workload feedback loop (repro.feedback): observe logs "
-             "every estimate and realized cardinality without changing "
-             "answers (bit-identical to off); apply additionally "
-             "multiplies estimates by the learned residual correction, "
-             "falling back to the raw estimate for queries the "
-             "corrector cannot featurize or has not trained for",
-    )
-
-
-def _corrector_mode(args):
-    corrector = getattr(args, "corrector", "off")
-    return None if corrector == "off" else corrector
-
-
 def _add_plan_cache_argument(parser):
     parser.add_argument(
         "--plan-cache", choices=("on", "off"), default="on",
-        help="memoise join-order planning per normalized query shape "
-             "(invalidated on data updates and corrector trainings); "
-             "off re-enumerates every call",
+        help="memoise join-order planning per canonical query form "
+             "(invalidated on data updates); off re-enumerates every "
+             "call",
     )
 
 
@@ -111,9 +94,7 @@ def _load_model(args, database):
     from repro.deepdb import DeepDB
 
     return DeepDB.load(
-        args.model, database,
-        corrector=_corrector_mode(args),
-        plan_cache=_plan_cache_enabled(args),
+        args.model, database, plan_cache=_plan_cache_enabled(args)
     )
 
 
@@ -225,15 +206,9 @@ def _run_estimate(args, out, database, deepdb, Executor, q_error):
                 truth = executor.cardinality(query)
                 print(f"{sql}: truth {truth:,.0f}, "
                       f"q-error {q_error(truth, estimate):.3f}", file=out)
-                if deepdb.feedback is not None:
-                    deepdb.feedback.observe_execution(
-                        query, estimate, truth,
-                        generation=deepdb.generation,
-                    )
         if args.explain:
             for sql, query in zip(args.sql, queries):
                 print(deepdb.compiler.explain(query), file=out)
-        _print_feedback(deepdb, out)
         return 0
     query = queries[0]
     start = time.perf_counter()
@@ -245,24 +220,9 @@ def _run_estimate(args, out, database, deepdb, Executor, q_error):
         truth = Executor(database).cardinality(query)
         print(f"true cardinality     : {truth:,.0f}", file=out)
         print(f"q-error              : {q_error(truth, estimate):.3f}", file=out)
-        if deepdb.feedback is not None:
-            deepdb.feedback.observe_execution(
-                query, estimate, truth, generation=deepdb.generation
-            )
     if args.explain:
         print(deepdb.compiler.explain(query), file=out)
-    _print_feedback(deepdb, out)
     return 0
-
-
-def _print_feedback(deepdb, out):
-    stats = deepdb.feedback_stats()
-    if stats is None:
-        return
-    print(f"feedback [{stats['mode']}]: {stats['logged']} logged "
-          f"({stats['labeled']} labeled), {stats['applied']} corrected, "
-          f"{stats['gated_out']} gated out, "
-          f"trained on {stats['trained_on']}", file=out)
 
 
 def _print_answer(answer, confidence, out):
@@ -356,8 +316,6 @@ def _run_plan(args, out, database, deepdb, intermediate_sizes):
         if outcome.replans:
             print(f"replans: {outcome.replans} (threshold "
                   f"{args.replan_threshold:g}x)", file=out)
-        if deepdb.feedback is not None:
-            _print_feedback(deepdb, out)
     return 0
 
 
@@ -373,7 +331,6 @@ def _cmd_serve(args, out):
     registry = ModelRegistry(memory_budget_bytes=budget)
     catalog = registry.register_store(
         name, args.model, database, cache_size=args.cache_size,
-        corrector=_corrector_mode(args),
         plan_cache=_plan_cache_enabled(args),
     )
     print(f"store-backed model {name!r}: {catalog['blob_bytes']:,} blob "
@@ -399,10 +356,6 @@ def _cmd_serve(args, out):
     print(f"coalescing: batches of up to {args.max_batch_size} every "
           f"{args.max_wait_ms:g} ms; admission cap {args.max_inflight} "
           "in-flight", file=out)
-    if _corrector_mode(args) is not None:
-        print(f"feedback: corrector {args.corrector!r} -- estimates are "
-              "logged; watch GET /stats under models.<name>.feedback",
-              file=out)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -676,7 +629,6 @@ def build_parser():
                           help="also run the exact executor")
     estimate.add_argument("--explain", action="store_true",
                           help="print the probabilistic query compilation")
-    _add_corrector_argument(estimate)
     estimate.set_defaults(handler=_cmd_estimate)
 
     query = commands.add_parser(
@@ -688,7 +640,6 @@ def build_parser():
                        help="SQL query; repeat the flag to answer a whole "
                             "batch in one compiled sweep")
     query.add_argument("--confidence", type=float, default=0.95)
-    _add_corrector_argument(query)
     query.set_defaults(handler=_cmd_query)
 
     plan = commands.add_parser(
@@ -707,7 +658,6 @@ def build_parser():
                            "materialises more than this multiple of its "
                            "estimate (default 16; inf disables)")
     _add_plan_cache_argument(plan)
-    _add_corrector_argument(plan)
     plan.set_defaults(handler=_cmd_plan)
 
     serve = commands.add_parser(
@@ -738,7 +688,6 @@ def build_parser():
                             "every N seconds in the background, shadow-"
                             "rebuilding drifted RSPNs (0 = off)")
     _add_plan_cache_argument(serve)
-    _add_corrector_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     ingest = commands.add_parser(

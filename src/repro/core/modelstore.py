@@ -26,10 +26,7 @@ File layout (all integers little-endian)::
     offset 20  header JSON      header_len bytes
     aligned    blob[0], routing[0], blob[1], routing[1], ...
                (16-byte aligned, blobs in the specpack codec, routing
-               as checksummed JSON of update-only KMeans state), then
-               optionally one checksummed JSON corrector section (the
-               trained residual corrector of repro.feedback; the
-               ``corrector`` header key is absent when not written)
+               as checksummed JSON of update-only KMeans state)
 
 The header carries the ensemble/schema metadata and, per RSPN, each
 section's offset/size/CRC32 and the ``plan_signature``.  Blob checksums
@@ -129,7 +126,7 @@ atexit.register(sweep_pending)
 # ----------------------------------------------------------------------
 
 
-def write_store(ensemble, path, name=None, corrector=None):
+def write_store(ensemble, path, name=None):
     """Persist ``ensemble`` to a store file at ``path`` (atomic replace).
 
     Each RSPN's tree is lowered through
@@ -140,13 +137,6 @@ def write_store(ensemble, path, name=None, corrector=None):
     routing state is framed as its own checksummed section so loading
     never decodes update-only state.  Returns the number of bytes
     written.
-
-    ``corrector`` (a JSON-serializable document from
-    :meth:`repro.feedback.ResidualCorrector.to_document`) is framed as
-    its own checksummed section referenced by a ``corrector`` header
-    key.  The key is simply absent when there is no corrector, and
-    readers ignore unknown header keys, so stores with and without the
-    section interoperate in both directions at the same format version.
     """
     sections = []  # (offset, bytes) in file order, offsets 16-aligned
     entries = []
@@ -197,9 +187,6 @@ def write_store(ensemble, path, name=None, corrector=None):
         "ensemble": ensemble_metadata_to_dict(ensemble),
         "rspns": entries,
     }
-    if corrector is not None:
-        payload = json.dumps(corrector, separators=(",", ":")).encode("utf-8")
-        document["corrector"] = _section(payload)
     header = json.dumps(document, separators=(",", ":")).encode("utf-8")
     payload_base = specpack._align(_HEADER_PREFIX + len(header))
     total = payload_base + offset
@@ -302,7 +289,6 @@ def read_catalog(path):
         "file_bytes": file_size,
         "blob_bytes": sum(r["blob_bytes"] for r in rspns),
         "payload_base": payload_base,
-        "corrector": bool(document.get("corrector")),
         "rspns": rspns,
     }
 
@@ -373,7 +359,6 @@ class ModelStore:
             "file_bytes": self.file_bytes,
             "blob_bytes": self.blob_bytes,
             "payload_base": self._payload_base,
-            "corrector": bool(self._document.get("corrector")),
             "rspns": rspns,
         }
 
@@ -421,53 +406,7 @@ class ModelStore:
                         "mismatch -- the file is corrupt (bit flip or "
                         "partial write)"
                     )
-            self._corrector_payload_locked()
             return len(self._document["rspns"])
-
-    # -- corrector section ----------------------------------------------
-    def _corrector_payload_locked(self):
-        """The raw corrector-section bytes, CRC-checked; None if absent.
-
-        Caller holds ``self._lock`` with the mapping open.
-        """
-        section = self._document.get("corrector")
-        if not section:
-            return None
-        start = self._payload_base + int(section["offset"])
-        end = start + int(section["nbytes"])
-        if end > self.file_bytes:
-            raise ModelStoreError(
-                f"{self.path}: corrector section extends to byte {end} but "
-                f"the file holds only {self.file_bytes}; file is truncated"
-            )
-        payload = self._mm[start:end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != int(section["crc32"]):
-            raise ModelStoreError(
-                f"{self.path}: corrector section checksum mismatch -- the "
-                "file is corrupt (bit flip or partial write)"
-            )
-        return payload
-
-    def corrector_document(self):
-        """The persisted residual-corrector document, or ``None``.
-
-        Stores written before the feedback subsystem (or without a
-        trained corrector) simply lack the header key: they return
-        ``None`` here and load with no warning -- the section is purely
-        additive.
-        """
-        with self._lock:
-            if self._mm is None:
-                raise ModelStoreError(f"{self.path}: store is closed")
-            payload = self._corrector_payload_locked()
-        if payload is None:
-            return None
-        try:
-            return json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ModelStoreError(
-                f"{self.path}: corrector section is not valid JSON: {error}"
-            ) from None
 
     # -- routing sections ----------------------------------------------
     def _routing_document(self, index):

@@ -28,76 +28,38 @@ from repro.engine.parser import parse_query
 class DeepDB:
     """An RSPN ensemble plus probabilistic query compilation.
 
-    ``corrector`` turns on the workload feedback loop
-    (:mod:`repro.feedback`): ``"observe"`` logs every estimate and the
-    realized cardinalities ``optimize_and_execute`` sees without
-    changing any answer (bit-identical to ``corrector=None``);
-    ``"apply"`` additionally multiplies estimates by the learned
-    residual correction once the corrector has trained, falling back to
-    the raw estimate for queries it cannot featurize.  A prebuilt
-    :class:`~repro.feedback.CorrectedEstimator` may be passed instead to
-    share a log/corrector or tune hyper-parameters.
-
     ``plan_cache`` (default ``True``) memoises join-order planning per
-    normalized query shape (:mod:`repro.optimizer.plancache`):
+    canonical query form (:mod:`repro.optimizer.plancache`):
     :meth:`plan` and :meth:`optimize_and_execute` skip the estimator
-    prefetch and the DP enumeration on repeated shapes, invalidating
-    whenever :attr:`generation` or the corrector's committed-training
-    count moves.  Pass a prebuilt
+    prefetch and the DP enumeration on repeated queries, invalidating
+    whenever :attr:`generation` moves.  Pass a prebuilt
     :class:`~repro.optimizer.PlanCache` to share or tune one, or a
     falsy value to disable caching.
     """
 
-    def __init__(self, database, ensemble, store=None, corrector=None,
-                 plan_cache=True):
+    def __init__(self, database, ensemble, store=None, plan_cache=True):
         self.database = database
         self.ensemble = ensemble
         self.compiler = ProbabilisticQueryCompiler(ensemble)
-        # Workload feedback (repro.feedback): "off"/None is a hard zero
-        # -- no log, no wrapper, estimates flow exactly as before.
-        self.feedback = None
-        self._corrector_document = None
-        if corrector is not None and corrector != "off":
-            from repro.feedback import make_feedback
-
-            self.feedback = make_feedback(
-                self.compiler, corrector, database=database
-            )
         # The mmapped ModelStore backing this ensemble, when it was
         # loaded from a store file; None for learned models.  close()
         # releases it deterministically.
         self._store = store
-        # Plan cache (repro.optimizer.plancache): True builds one keyed
-        # on this database's featurized query shapes; a prebuilt
-        # PlanCache may be shared; falsy disables caching entirely.
+        # Plan cache (repro.optimizer.plancache): True builds one; a
+        # prebuilt PlanCache may be shared; falsy disables caching.
         if plan_cache is True:
             from repro.optimizer.plancache import PlanCache
 
-            self.plan_cache = PlanCache(self._plan_featurizer())
+            self.plan_cache = PlanCache()
         else:
             self.plan_cache = plan_cache or None
 
-    def _plan_featurizer(self):
-        """The featurizer keying the plan cache (shared with feedback)."""
-        if self.feedback is not None:
-            corrector = getattr(self.feedback, "corrector", None)
-            featurizer = getattr(corrector, "featurizer", None)
-            if featurizer is not None:
-                return featurizer
-        from repro.feedback.featurize import QueryFeaturizer
-
-        try:
-            return QueryFeaturizer(self.database)
-        except Exception:
-            return None  # text keys still catch verbatim repeats
-
     @classmethod
     def learn(cls, database, config: EnsembleConfig | None = None,
-              corrector=None, plan_cache=True):
+              plan_cache=True):
         """Offline learning phase: build the RSPN ensemble for a database."""
         ensemble = learn_ensemble(database, config)
-        return cls(database, ensemble, corrector=corrector,
-                   plan_cache=plan_cache)
+        return cls(database, ensemble, plan_cache=plan_cache)
 
     def close(self):
         """Release the backing store, if any.
@@ -115,8 +77,6 @@ class DeepDB:
             # Order matters: release every reference into the mapping
             # (ensemble tree + compiled forms cached off its root)
             # before asking the store to unmap.
-            if self.feedback is not None:
-                self.feedback.detach()
             self.ensemble = None
             self.compiler = None
             store.close()
@@ -140,32 +100,16 @@ class DeepDB:
         """
         from repro.core.modelstore import write_store
 
-        write_store(self.ensemble, path, corrector=self._corrector_state())
-
-    def _corrector_state(self):
-        """The corrector document to persist alongside the ensemble.
-
-        A live fitted corrector wins; otherwise the document this model
-        was loaded with is carried forward, so re-saving a store never
-        silently drops trained corrector state.
-        """
-        if self.feedback is not None and self.feedback.corrector is not None \
-                and self.feedback.corrector.fitted:
-            return self.feedback.corrector.to_document()
-        return self._corrector_document
+        write_store(self.ensemble, path)
 
     @classmethod
-    def load(cls, path, database, corrector=None, plan_cache=True):
+    def load(cls, path, database, plan_cache=True):
         """Re-open a persisted ensemble against its database.
 
         The store is mmapped (O(metadata) cold start, histograms stay on
         disk until touched).  A missing file raises
         :class:`FileNotFoundError`; any other file that is not a store
         raises :class:`~repro.core.modelstore.ModelStoreError`.
-
-        With ``corrector`` set, a corrector section persisted in the
-        store (``DeepDB.save`` after training) is restored, so a
-        restarted server keeps correcting exactly as it did before.
         """
         from repro.core.modelstore import open_store
 
@@ -173,20 +117,10 @@ class DeepDB:
         store = open_store(path)
         try:
             ensemble = store.load_ensemble(database)
-            document = store.corrector_document()
         except BaseException:
             store.close()
             raise
-        instance = cls(database, ensemble, store=store,
-                       corrector=corrector, plan_cache=plan_cache)
-        instance._corrector_document = document
-        if document is not None and instance.feedback is not None:
-            from repro.feedback import ResidualCorrector
-
-            instance.feedback.adopt_corrector(
-                ResidualCorrector.from_document(document, database=database)
-            )
-        return instance
+        return cls(database, ensemble, store=store, plan_cache=plan_cache)
 
     # ------------------------------------------------------------------
     # Runtime tasks
@@ -195,16 +129,11 @@ class DeepDB:
         """Parse a SQL string of the supported subset into a Query."""
         return parse_query(sql, self.database.schema)
 
-    @property
-    def _estimator(self):
-        """The estimator consumers see: feedback-wrapped when enabled."""
-        return self.compiler if self.feedback is None else self.feedback
-
     def cardinality(self, query):
         """Cardinality estimate (>= 1) for the query optimizer."""
         if isinstance(query, str):
             query = self.parse(query)
-        return self._estimator.cardinality(query)
+        return self.compiler.cardinality(query)
 
     def cardinality_batch(self, queries):
         """Cardinality estimates for many queries in one batched pass.
@@ -215,7 +144,7 @@ class DeepDB:
         :meth:`cardinality` in a loop.
         """
         parsed = [self.parse(q) if isinstance(q, str) else q for q in queries]
-        return self._estimator.cardinality_batch(parsed)
+        return self.compiler.cardinality_batch(parsed)
 
     def plan(self, query, linear=False):
         """Join order for ``query`` under batched DeepDB cardinalities.
@@ -226,10 +155,11 @@ class DeepDB:
         oracle)`` -- the oracle exposes the per-subset estimates and the
         ``batch_calls`` / ``estimator_calls`` counters.
 
-        With the plan cache enabled (the default), repeated query
-        shapes skip both the prefetch and the enumeration: the cached
+        With the plan cache enabled (the default), a repeated query --
+        equal up to the order of its conjuncts and IN values -- skips
+        both the prefetch and the enumeration: the cached
         plan, cost and fully-prefetched oracle are returned as long as
-        the model generation and corrector generation are unchanged.
+        the model generation is unchanged.
         """
         from repro.optimizer import SubqueryCardinalities, optimal_plan
 
@@ -237,13 +167,11 @@ class DeepDB:
             query = self.parse(query)
         epoch = None
         if self.plan_cache is not None:
-            from repro.optimizer import cache_epoch
-
-            epoch = cache_epoch(self._estimator, self.feedback)
+            epoch = self.generation
             entry = self.plan_cache.lookup(query, epoch, linear=linear)
             if entry is not None:
                 return entry
-        oracle = SubqueryCardinalities(self._estimator, query)
+        oracle = SubqueryCardinalities(self.compiler, query)
         plan, cost = optimal_plan(
             query, self.database.schema, oracle, linear=linear
         )
@@ -259,21 +187,18 @@ class DeepDB:
         with real hash joins.  Returns an
         :class:`~repro.optimizer.execution.OptimizedExecution`.
 
-        The adaptive loop is on by default: repeated query shapes are
+        The adaptive loop is on by default: repeated queries are
         planned from the plan cache, and a join that materialises more
         than ``replan_threshold`` times its estimate triggers
         mid-execution re-optimisation of the remaining join order
-        (``math.inf`` disables it).  With feedback enabled the realized
-        result *and every realized intermediate* are recorded as
-        labeled observations, so executed plans train the corrector on
-        exactly the joins the optimizer got wrong."""
+        (``math.inf`` disables it)."""
         from repro.optimizer import optimize_and_execute
 
         if isinstance(query, str):
             query = self.parse(query)
         return optimize_and_execute(
-            query, self.database, self._estimator, linear=linear,
-            feedback=self.feedback, replan_threshold=replan_threshold,
+            query, self.database, self.compiler, linear=linear,
+            replan_threshold=replan_threshold,
             plan_cache=self.plan_cache,
         )
 
@@ -482,18 +407,6 @@ class DeepDB:
 
     def describe(self):
         return self.ensemble.describe()
-
-    def feedback_stats(self):
-        """Workload-feedback counters, or ``None`` when disabled.
-
-        Mirrors :meth:`kernel_stats`: surfaced through serving
-        ``/stats`` so operators can watch the log fill, trainings
-        commit and the applied/gated split without instrumenting
-        anything.
-        """
-        if self.feedback is None:
-            return None
-        return self.feedback.stats()
 
     def kernel_stats(self):
         """Aggregate compiled-kernel telemetry across the ensemble.

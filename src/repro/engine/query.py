@@ -10,13 +10,33 @@ of scope, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=", "IN", "BETWEEN", "IS NULL", "IS NOT NULL")
 
 INNER = "inner"
 FULL_OUTER = "full_outer"
 LEFT_OUTER = "left_outer"
+
+
+def _literal_key(value):
+    """A total order over literals of mixed type: numbers, text, the rest."""
+    if isinstance(value, numbers.Real):
+        return (0, value, "")
+    if isinstance(value, str):
+        return (1, 0, value)
+    return (2, 0, repr(value))
+
+
+def _predicate_key(predicate):
+    return (predicate.table, predicate.column, predicate.op,
+            _literal_key(predicate.value))
+
+
+def _sorted_predicates(predicates):
+    return tuple(sorted((p.normalized() for p in predicates),
+                        key=_predicate_key))
 
 
 @dataclass(frozen=True)
@@ -45,6 +65,17 @@ class Predicate:
     @property
     def qualified_column(self):
         return f"{self.table}.{self.column}"
+
+    def normalized(self):
+        """This predicate with its literal in canonical form: an IN set
+        sorted and deduplicated, a BETWEEN pair as a tuple."""
+        if self.op == "IN":
+            value = tuple(sorted(set(self.value), key=_literal_key))
+        elif self.op == "BETWEEN":
+            value = tuple(self.value)
+        else:
+            return self
+        return Predicate(self.table, self.column, self.op, value)
 
     def describe(self):
         if self.op in ("IS NULL", "IS NOT NULL"):
@@ -252,6 +283,24 @@ class Query:
             having=self.having,
             order=self.order,
             limit=self.limit,
+        )
+
+    def normalized(self):
+        """A hashable canonical form of this query that keeps every
+        literal exactly: predicates sorted, IN values sorted and
+        deduplicated, each OR group and the groups themselves sorted,
+        every other field as it is.  Two queries that differ only in
+        the order of their conjuncts, disjuncts or IN values normalize
+        to equal forms; any other difference -- one literal -- keeps
+        them apart."""
+        groups = sorted(
+            (_sorted_predicates(group) for group in self.disjunctions),
+            key=lambda group: [_predicate_key(p) for p in group],
+        )
+        return replace(
+            self,
+            predicates=_sorted_predicates(self.predicates),
+            disjunctions=tuple(groups),
         )
 
     def describe(self):

@@ -20,9 +20,9 @@ def q_error(true_value, estimate):
 def q_errors(true_values, estimates):
     """Vectorized :func:`q_error` over a workload (1-D float array).
 
-    Same clamping convention as the scalar form; used by the corrector's
-    held-out gate and the feedback bench so both judge estimates with
-    exactly the metric the paper reports.
+    Same clamping convention as the scalar form; used by
+    :func:`q_error_summary` so a workload is judged with exactly the
+    metric the paper reports.
     """
     true_values = np.maximum(np.asarray(true_values, dtype=float), 1.0)
     estimates = np.maximum(np.asarray(estimates, dtype=float), 1.0)

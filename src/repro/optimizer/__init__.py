@@ -22,8 +22,8 @@ Modules
   optimise-then-execute entry point sharing the same oracle, with
   mid-execution re-optimisation when realised intermediates blow past
   their estimates,
-- :mod:`repro.optimizer.plancache` -- the shape-keyed plan cache
-  riding the model/corrector generations.
+- :mod:`repro.optimizer.plancache` -- the plan cache keyed on the
+  canonical query form, riding the model generation.
 """
 
 from repro.optimizer.cardinality import SubqueryCardinalities

@@ -114,9 +114,10 @@ class SubqueryCardinalities:
         """The estimator's *unclamped* estimate for ``tables``.
 
         The >= 1 clamp exists for the optimizer (C_out charges and cost
-        ratios must not hit zero); feedback observations must log what
-        the estimator actually said, so a true-zero estimate trains the
-        corrector's low end on 0.0, not on the clamp.
+        ratios must not hit zero); the ``join_gaps`` an
+        :class:`~repro.optimizer.execution.OptimizedExecution` reports
+        show what the estimator actually said, so a true-zero estimate
+        reads 0.0, not the clamp.
         """
         key = frozenset(tables)
         if key not in self._raw:

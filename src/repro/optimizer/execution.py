@@ -222,8 +222,8 @@ class OptimizedExecution:
     ``replans`` counts mid-execution re-optimisations and ``join_gaps``
     records one entry per executed join -- ``{"tables", "estimate"
     (the estimator's raw, unclamped value at planning time),
-    "realized", "gap" (realised / clamped estimate)}`` -- the
-    per-intermediate misestimates the feedback loop trains on."""
+    "realized", "gap" (realised / clamped estimate)}`` -- where the
+    estimator went wrong, join by join."""
 
     plan: object
     estimated_cost: float
@@ -331,8 +331,7 @@ def _execute_adaptive(plan, database, query, oracle, replan_threshold,
 
 
 def optimize_and_execute(query, database, estimator, linear=False, batch=True,
-                         feedback=None, replan_threshold=16.0,
-                         plan_cache=None):
+                         replan_threshold=16.0, plan_cache=None):
     """Optimise ``query`` under ``estimator`` and run the chosen plan.
 
     The estimator is wrapped in the same batched
@@ -348,16 +347,9 @@ def optimize_and_execute(query, database, estimator, linear=False, batch=True,
     into the oracle (``None`` or ``inf`` disables, restoring the static
     pipeline bit-for-bit).  ``plan_cache`` (a
     :class:`~repro.optimizer.plancache.PlanCache`) skips enumeration
-    for repeated query shapes; after a replan the cached entry is
+    for repeated queries; after a replan the cached entry is
     recomputed from the patched oracle so a repeated query does not
     repeat the mistake.
-
-    ``feedback`` (a :class:`~repro.feedback.CorrectedEstimator`) closes
-    the estimation loop: the query's own *raw* prefetched estimate and
-    the realised result rows are one labeled observation, and every
-    realised intermediate becomes a labeled observation on its
-    materialised sub-query -- the joins the optimizer actually got
-    wrong are exactly what the residual corrector trains on.
     """
     from repro.optimizer.cardinality import SubqueryCardinalities
     from repro.optimizer.enumeration import optimal_plan
@@ -367,7 +359,7 @@ def optimize_and_execute(query, database, estimator, linear=False, batch=True,
     if plan_cache is not None:
         from repro.optimizer.plancache import cache_epoch
 
-        epoch = cache_epoch(estimator, feedback)
+        epoch = cache_epoch(estimator)
         entry = plan_cache.lookup(query, epoch, linear=linear)
     if entry is not None:
         plan, cost, oracle = entry
@@ -379,12 +371,6 @@ def optimize_and_execute(query, database, estimator, linear=False, batch=True,
         if plan_cache is not None:
             plan_cache.store(query, (plan, cost, oracle), epoch,
                              linear=linear)
-    raw_estimate = None
-    if feedback is not None:
-        # Captured before execution: a replan patches realised truth
-        # into the oracle, and the observation must log what the
-        # estimator originally said.
-        raw_estimate = oracle.raw_estimate(frozenset(query.tables))
     start = time.perf_counter_ns()
     execution, replans, join_gaps = _execute_adaptive(
         plan, database, query, oracle, replan_threshold, linear
@@ -398,36 +384,10 @@ def optimize_and_execute(query, database, estimator, linear=False, batch=True,
             query, (refreshed_plan, refreshed_cost, oracle), epoch,
             linear=linear,
         )
-    result = OptimizedExecution(
+    return OptimizedExecution(
         plan=plan, estimated_cost=cost, oracle=oracle, execution=execution,
         latency_ns=latency_ns, replans=replans, join_gaps=join_gaps,
     )
-    if feedback is not None:
-        generation = getattr(estimator, "generation", None)
-        if generation is None:  # compiler-backed estimators: ask the ensemble
-            generation = getattr(
-                getattr(estimator, "ensemble", None), "generation", 0
-            )
-        full = frozenset(query.tables)
-        feedback.observe_execution(
-            query.without_group_by(),
-            estimate=raw_estimate,
-            realized=execution.result_rows,
-            latency_ns=latency_ns,
-            generation=generation,
-        )
-        for gap in join_gaps:
-            tables = frozenset(gap["tables"])
-            if tables == full:
-                continue  # the full-set observation above covers it
-            feedback.observe_execution(
-                oracle.subquery(tables),
-                estimate=gap["estimate"],
-                realized=gap["realized"],
-                latency_ns=0,
-                generation=generation,
-            )
-    return result
 
 
 def execute_plan(plan, database, query):

@@ -86,7 +86,7 @@ class ModelRegistry:
             return session
 
     def register_store(self, name, path, database, cache_size=256,
-                       kernel=None, corrector=None, plan_cache=True) -> dict:
+                       kernel=None, plan_cache=True) -> dict:
         """Register a model by store file without loading it.
 
         Validates the header (magic, CRC, version -- raising
@@ -107,7 +107,6 @@ class ModelRegistry:
                 "path": catalog["path"],
                 "database": database,
                 "cache_size": cache_size,
-                "corrector": corrector,
                 "plan_cache": plan_cache,
                 "catalog": catalog,
             }
@@ -194,7 +193,6 @@ class ModelRegistry:
         start = time.perf_counter_ns()
         deepdb = DeepDB.load(
             entry["path"], entry["database"],
-            corrector=entry.get("corrector"),
             plan_cache=entry.get("plan_cache", True),
         )
         cold_start_ns = time.perf_counter_ns() - start

@@ -305,11 +305,9 @@ class ModelSession:
     # Introspection
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Model state for ``GET /stats``.  ``kernel`` reports the active sweep kernel plus aggregate sweep
-        telemetry (per-sweep ns, arena bytes) across the ensemble.
-        ``feedback`` carries the workload-feedback counters (logged /
-        applied / gated_out, trainer state) when the model runs with a
-        corrector."""
+        """Model state for ``GET /stats``.  ``kernel`` reports the active
+        sweep kernel plus aggregate sweep telemetry (per-sweep ns, arena
+        bytes) across the ensemble."""
         snap = {
             "name": self.name,
             "generation": self.deepdb.generation,
@@ -324,11 +322,6 @@ class ModelSession:
         kernel_stats = getattr(self.deepdb, "kernel_stats", None)
         if kernel_stats is not None:
             snap["kernel"] = kernel_stats()
-        feedback_stats = getattr(self.deepdb, "feedback_stats", None)
-        if feedback_stats is not None:
-            feedback = feedback_stats()
-            if feedback is not None:
-                snap["feedback"] = feedback
         return snap
 
     def __repr__(self):

@@ -1,19 +1,20 @@
-"""The adaptive planning loop: plan cache, mid-execution re-optimization
-and the feedback observations executed plans produce.
+"""The adaptive planning loop: plan cache and mid-execution
+re-optimization.
 
-Three contracts, asserted with ``==`` where the ISSUE demands
-bit-identity:
+Three contracts, asserted with ``==`` where bit-identity is the claim:
 
 - a **cache hit returns the cold plan**: same join tree, same estimated
-  cost, the very same prefetched oracle -- and any generation movement
-  (insert/delete, committed corrector training) invalidates the cache;
+  cost, the very same prefetched oracle -- the key is the query's exact
+  canonical form, so two queries one literal apart never share an
+  entry, and any generation movement (insert/delete) invalidates the
+  cache;
 - with the replan threshold disabled (``inf``/``None``) the adaptive
   executor is **bit-for-bit the static pipeline** (same plan, same
   intermediates in the same order, same result rows, same cost);
 - a planted 100x misestimate triggers **exactly one** replan whose
-  realised C_out beats the static plan, and every realised intermediate
-  lands in the feedback log with the estimator's *raw* (unclamped,
-  pre-patch) estimate -- a zero estimate is logged as ``0.0``.
+  realised C_out beats the static plan, and every executed join reports
+  the estimator's *raw* (unclamped, pre-patch) estimate in
+  ``join_gaps`` -- a zero estimate reads ``0.0``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import pytest
 from tests.conftest import build_customer_orders
 from repro.deepdb import DeepDB
 from repro.engine.executor import Executor
-from repro.engine.query import Predicate, count_query
+from repro.engine.query import Predicate, Query, count_query
 from repro.engine.table import Database, Table
 from repro.estimator import CardinalityEstimator
-from repro.feedback import CorrectedEstimator, QueryFeaturizer
 from repro.optimizer import (
     PlanCache,
     SubqueryCardinalities,
@@ -52,7 +52,7 @@ def adaptive_db():
 
 @pytest.fixture(scope="module")
 def adaptive_deepdb(adaptive_db):
-    return DeepDB.learn(adaptive_db, corrector="observe")
+    return DeepDB.learn(adaptive_db)
 
 
 def _chain_db():
@@ -134,40 +134,19 @@ class _FakeModel:
         self.generation = generation
 
 
-class _FakeTrainer:
-    def __init__(self, trainings):
-        self.trainings = trainings
-
-
-class _FakeFeedback:
-    def __init__(self, generation, trainings):
-        self.generation = generation
-        self.trainer = _FakeTrainer(trainings)
-
-
 class TestCacheEpoch:
     def test_generation_from_estimator(self):
-        assert cache_epoch(_FakeModel(7)) == (7, 0)
+        assert cache_epoch(_FakeModel(7)) == 7
 
     def test_generation_from_ensemble_fallback(self):
         class _Wrapped:
             ensemble = _FakeModel(3)
 
-        assert cache_epoch(_Wrapped()) == (3, 0)
-
-    def test_corrector_trainings_are_part_of_the_epoch(self):
-        feedback = _FakeFeedback(generation=5, trainings=2)
-        assert cache_epoch(_FakeModel(5), feedback) == (5, 2)
-        feedback.trainer.trainings += 1
-        assert cache_epoch(_FakeModel(5), feedback) == (5, 3)
-
-    def test_feedback_defaults_to_the_estimator_itself(self):
-        feedback = _FakeFeedback(generation=4, trainings=9)
-        assert cache_epoch(feedback) == (4, 9)
+        assert cache_epoch(_Wrapped()) == 3
 
 
 # ----------------------------------------------------------------------
-# PlanCache unit behaviour (text keys -- no featurizer)
+# PlanCache unit behaviour
 # ----------------------------------------------------------------------
 def _q(low):
     return count_query(
@@ -179,101 +158,171 @@ class TestPlanCacheUnit:
     def test_miss_store_hit_returns_the_same_entry(self):
         cache = PlanCache()
         query = _q(30.0)
-        assert cache.lookup(query, (0, 0)) is None
+        assert cache.lookup(query, 0) is None
         entry = ("plan", 12.5, "oracle")
-        cache.store(query, entry, (0, 0))
-        assert cache.lookup(query, (0, 0)) is entry
+        cache.store(query, entry, 0)
+        assert cache.lookup(query, 0) is entry
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
     def test_epoch_change_invalidates(self):
         cache = PlanCache()
         query = _q(30.0)
-        cache.store(query, "entry", (0, 0))
+        cache.store(query, "entry", 0)
         # Model generation moved: the cached plan was chosen under
         # estimates that no longer exist.
-        assert cache.lookup(query, (1, 0)) is None
+        assert cache.lookup(query, 1) is None
         assert cache.invalidations == 1
         assert len(cache) == 0
-        # Corrector generation movement invalidates just the same.
-        cache.store(query, "entry2", (1, 0))
-        assert cache.lookup(query, (1, 1)) is None
-        assert cache.invalidations == 2
 
     def test_first_epoch_is_not_an_invalidation(self):
         cache = PlanCache()
-        assert cache.lookup(_q(30.0), (5, 1)) is None
+        assert cache.lookup(_q(30.0), 5) is None
         assert cache.invalidations == 0
 
     def test_explicit_invalidate(self):
         cache = PlanCache()
-        cache.store(_q(30.0), "entry", (0, 0))
+        cache.store(_q(30.0), "entry", 0)
         cache.invalidate()
         assert len(cache) == 0
         assert cache.invalidations == 1
-        assert cache.lookup(_q(30.0), (0, 0)) is None
+        assert cache.lookup(_q(30.0), 0) is None
 
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         queries = [_q(10.0), _q(20.0), _q(30.0)]
         for i, query in enumerate(queries):
-            cache.store(query, f"entry{i}", (0, 0))
+            cache.store(query, f"entry{i}", 0)
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.lookup(queries[0], (0, 0)) is None  # oldest evicted
-        assert cache.lookup(queries[1], (0, 0)) == "entry1"
-        assert cache.lookup(queries[2], (0, 0)) == "entry2"
+        assert cache.lookup(queries[0], 0) is None  # oldest evicted
+        assert cache.lookup(queries[1], 0) == "entry1"
+        assert cache.lookup(queries[2], 0) == "entry2"
 
     def test_linear_and_bushy_cache_separately(self):
         cache = PlanCache()
         query = _q(30.0)
-        cache.store(query, "bushy", (0, 0), linear=False)
-        cache.store(query, "linear", (0, 0), linear=True)
-        assert cache.lookup(query, (0, 0), linear=False) == "bushy"
-        assert cache.lookup(query, (0, 0), linear=True) == "linear"
+        cache.store(query, "bushy", 0, linear=False)
+        cache.store(query, "linear", 0, linear=True)
+        assert cache.lookup(query, 0, linear=False) == "bushy"
+        assert cache.lookup(query, 0, linear=True) == "linear"
 
     def test_snapshot_counters(self):
         cache = PlanCache(maxsize=8)
-        cache.store(_q(30.0), "entry", (2, 1))
-        cache.lookup(_q(30.0), (2, 1))
+        cache.store(_q(30.0), "entry", 2)
+        cache.lookup(_q(30.0), 2)
         snap = cache.snapshot()
         assert snap["size"] == 1
         assert snap["maxsize"] == 8
         assert snap["hits"] == 1
-        assert snap["epoch"] == [2, 1]
+        assert snap["epoch"] == 2
+
+
+_AGE = ("customer", "age")
+
+
+def _age(op, value):
+    return Predicate(*_AGE, op, value)
+
+
+# Pairs a lossy featurized key merges (literals pooled to min/max, IN
+# sets counted, values clipped to [-1, 2]): each pair must get two keys,
+# and the second plan must be its own cold plan.
+_COLLISIONS = {
+    "in_values": (
+        (_age("IN", (20, 30, 60)),),
+        (_age("IN", (20, 50, 60)),),
+    ),
+    "not_equal_count": (
+        (_age("<>", 20), _age("<>", 40), _age("<>", 60)),
+        (_age("<>", 20), _age("<>", 60)),
+    ),
+    "clipped_literal": (
+        (_age(">", 1000),),
+        (_age(">", 5000),),
+    ),
+}
+
+
+def _join(*predicates):
+    return count_query(["customer", "orders"], predicates=predicates)
 
 
 class TestShapeKeys:
-    def test_sql_fallback_normalizes_whitespace(self):
-        cache = PlanCache()  # no featurizer: text keys
-        key = cache.shape_key(_q(30.0))
-        assert key[0].startswith("sql:")
-        assert cache.shape_key(_q(30.0)) == key
-        assert cache.shape_key(_q(40.0)) != key
+    def test_key_is_the_canonical_query_form(self):
+        query = _q(30.0)
+        assert PlanCache.key(query) == (query.normalized(), False)
+        assert PlanCache.key(query, linear=True) == (
+            query.normalized(), True
+        )
+        assert PlanCache.key(_q(30.0)) == PlanCache.key(query)
+        assert PlanCache.key(_q(40.0)) != PlanCache.key(query)
 
-    def test_featurized_keys_are_predicate_order_invariant(self, adaptive_db):
-        cache = PlanCache(featurizer=QueryFeaturizer(adaptive_db))
+    def test_keys_are_predicate_order_invariant(self):
         age = Predicate("customer", "age", ">=", 30.0)
         channel = Predicate("orders", "channel", "=", "ONLINE")
-        tables = ["customer", "orders"]
-        one = count_query(tables, predicates=(age, channel))
-        two = count_query(tables, predicates=(channel, age))
+        one = _join(age, channel)
+        two = _join(channel, age)
         assert one.describe() != two.describe()  # text keys would differ
-        key_one = cache.shape_key(one)
-        key_two = cache.shape_key(two)
-        assert key_one[0].startswith("mscn:")
-        assert key_one == key_two
+        assert PlanCache.key(one) == PlanCache.key(two)
 
-    def test_featurized_keys_separate_different_shapes(self, adaptive_db):
-        cache = PlanCache(featurizer=QueryFeaturizer(adaptive_db))
-        tables = ["customer", "orders"]
-        one = count_query(
-            tables, predicates=(Predicate("customer", "age", ">=", 30.0),)
+    def test_keys_separate_different_literals(self):
+        one = _join(_age(">=", 30.0))
+        two = _join(_age(">=", 55.0))
+        assert PlanCache.key(one) != PlanCache.key(two)
+
+    def test_normalized_sorts_in_values_and_or_groups(self):
+        region = Predicate("customer", "region", "=", "EU")
+        one = Query(
+            tables=("customer",),
+            predicates=(_age("IN", [60, 20, 30, 20]), region),
+            disjunctions=((_age("<", 25), _age(">", 50)), (region,)),
         )
-        two = count_query(
-            tables, predicates=(Predicate("customer", "age", ">=", 55.0),)
+        two = Query(
+            tables=("customer",),
+            predicates=(region, _age("IN", (20, 30, 60))),
+            disjunctions=((region,), (_age(">", 50), _age("<", 25))),
         )
-        assert cache.shape_key(one) != cache.shape_key(two)
+        assert one != two
+        assert one.normalized() == two.normalized()
+        assert hash(one.normalized()) == hash(two.normalized())
+        (in_predicate,) = [
+            p for p in one.normalized().predicates if p.op == "IN"
+        ]
+        assert in_predicate.value == (20, 30, 60)
+        # Every other field is kept as it is, and normalizing is
+        # idempotent.
+        assert one.normalized().tables == one.tables
+        assert one.normalized().aggregate == one.aggregate
+        assert one.normalized().normalized() == one.normalized()
+
+    @pytest.mark.parametrize("pair", sorted(_COLLISIONS))
+    def test_collision_pairs_get_distinct_keys(self, pair):
+        first, second = _COLLISIONS[pair]
+        assert PlanCache.key(_join(*first)) != PlanCache.key(_join(*second))
+        # Permuting a query's predicates still shares its key.
+        assert PlanCache.key(_join(*second)) == PlanCache.key(
+            _join(*reversed(second))
+        )
+
+    @pytest.mark.parametrize("pair", sorted(_COLLISIONS))
+    def test_second_plan_of_a_collision_pair_is_its_cold_plan(
+        self, pair, adaptive_db, adaptive_deepdb
+    ):
+        first, second = _COLLISIONS[pair]
+        cached = DeepDB(adaptive_db, adaptive_deepdb.ensemble)
+        uncached = DeepDB(
+            adaptive_db, adaptive_deepdb.ensemble, plan_cache=False
+        )
+        _plan, _cost, first_oracle = cached.plan(_join(*first))
+        plan, cost, oracle = cached.plan(_join(*second))
+        cold_plan, cold_cost, _ = uncached.plan(_join(*second))
+        assert oracle is not first_oracle
+        assert (plan, cost) == (cold_plan, cold_cost)
+        assert cached.plan_cache.hits == 0
+        # A permuted repeat is a hit on the second query's own entry.
+        assert cached.plan(_join(*reversed(second)))[2] is oracle
+        assert cached.plan_cache.hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -314,17 +363,6 @@ class TestDeepDBPlanCache:
         deepdb.plan(_JOIN_SQL)
         assert deepdb.plan_cache.invalidations == invalidations + 2
         assert deepdb.plan_cache.misses == misses + 2
-
-    def test_committed_corrector_training_invalidates(self, adaptive_deepdb):
-        deepdb = adaptive_deepdb
-        deepdb.plan(_JOIN_SQL)
-        invalidations = deepdb.plan_cache.invalidations
-        # A committed training is exactly a bump of trainer.trainings
-        # (FeedbackTrainer.train_now); plans chosen under the previous
-        # corrector must not survive it.
-        deepdb.feedback.trainer.trainings += 1
-        deepdb.plan(_JOIN_SQL)
-        assert deepdb.plan_cache.invalidations == invalidations + 1
 
     def test_plan_cache_can_be_disabled(self, adaptive_db, adaptive_deepdb):
         cached = adaptive_deepdb
@@ -431,6 +469,20 @@ class TestMidExecutionReplan:
         assert blown["realized"] == 10_000.0
         assert blown["gap"] == 100.0
 
+    def test_join_gaps_report_a_zero_estimate_as_zero(self, chain_db):
+        # The optimizer clamps a hard-zero estimate to 1.0 internally;
+        # join_gaps report what the estimator actually said.
+        planted = _PlantedEstimator(chain_db, {("a", "b"): 0.0})
+        outcome = optimize_and_execute(
+            count_query(["a", "b"]), chain_db, planted,
+            replan_threshold=math.inf,
+        )
+        assert outcome.execution.result_rows == 10_000
+        (gap,) = outcome.join_gaps
+        assert gap["estimate"] == 0.0
+        assert gap["realized"] == 10_000.0
+        assert gap["gap"] == 10_000.0
+
     def test_accurate_estimates_never_replan(self, chain_db):
         estimator = _PlantedEstimator(chain_db)  # exact truth
         outcome = optimize_and_execute(
@@ -477,49 +529,3 @@ class TestMidExecutionReplan:
         assert second.replans == 0
         assert (second.execution.total_intermediate_rows
                 < first.execution.total_intermediate_rows)
-
-
-# ----------------------------------------------------------------------
-# Feedback observations from executed plans
-# ----------------------------------------------------------------------
-class TestExecutionFeedback:
-    def test_zero_estimate_is_logged_as_zero(self, chain_db):
-        # A planted hard-zero estimate: the optimizer clamps it to 1.0
-        # internally, but the feedback log must record what the
-        # estimator actually said.
-        planted = _PlantedEstimator(chain_db, {("a", "b"): 0.0})
-        feedback = CorrectedEstimator(base=planted, mode="observe")
-        query = count_query(["a", "b"])
-        outcome = optimize_and_execute(
-            query, chain_db, feedback, feedback=feedback,
-            replan_threshold=math.inf,
-        )
-        assert outcome.execution.result_rows == 10_000
-        labeled = feedback.log.labeled()
-        assert len(labeled) == 1
-        assert labeled[0].estimate == 0.0
-        assert labeled[0].realized == 10_000.0
-
-    def test_every_intermediate_becomes_an_observation(self, chain_db):
-        planted = _PlantedEstimator(chain_db, _CHAIN_PLANTS)
-        feedback = CorrectedEstimator(base=planted, mode="observe")
-        outcome = optimize_and_execute(
-            _CHAIN_QUERY, chain_db, feedback, feedback=feedback,
-            replan_threshold=16.0,
-        )
-        assert outcome.replans == 1
-        labeled = {
-            frozenset(o.query.tables): o for o in feedback.log.labeled()
-        }
-        # The blown join trains the corrector on the raw planted value.
-        blown = labeled[frozenset(("a", "b"))]
-        assert blown.estimate == 100.0
-        assert blown.realized == 10_000.0
-        # The re-planned remainder's join is observed too.
-        remainder = labeled[frozenset(("c", "d"))]
-        assert remainder.realized == 200.0
-        # The full query's observation logs the pre-execution estimate,
-        # not the value the replan patched in afterwards.
-        full = labeled[frozenset(("a", "b", "c", "d"))]
-        assert full.estimate == 200.0
-        assert full.realized == 200.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -103,6 +104,10 @@ def trained_model(tmp_path_factory):
 
 
 class TestCli:
+    def test_import_pulls_in_no_query_driven_corrector(self):
+        # DeepDB learns from the data alone (paper, Section 1).
+        assert "repro.feedback" not in sys.modules
+
     def test_train_saves_model(self, trained_model):
         assert trained_model.exists()
 

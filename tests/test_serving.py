@@ -500,14 +500,17 @@ class TestHttpFrontEnd:
             with pytest.raises(urllib.error.HTTPError) as bad_sql:
                 self._post(url, "/query", {"sql": "SELECT broken FROM"})
             assert bad_sql.value.code == 400
+            bad_sql.value.close()
             with pytest.raises(urllib.error.HTTPError) as bad_model:
                 self._post(url, "/query", {
                     "sql": CARDINALITY_SQLS[0], "database": "missing",
                 })
             assert bad_model.value.code == 400
+            bad_model.value.close()
             with pytest.raises(urllib.error.HTTPError) as bad_path:
                 self._get(url, "/nope")
             assert bad_path.value.code == 404
+            bad_path.value.close()
 
             updated = self._post(url, "/update", {
                 "op": "insert", "table": "customer",
