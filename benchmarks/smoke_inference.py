@@ -280,7 +280,12 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
     ``n_readers`` HTTP clients keep querying.  The batch commits at
     once, so every read must be the before or the after value, and the
     end state must be ``==`` a twin fed the same ops one tuple at a time
-    through ``update_tuple``."""
+    through ``update_tuple``.  The commit patches the fused leaf tables
+    built before the batch staged, so the final read after it builds
+    none (``/stats`` ``scope_table_builds``).  It reads ``month``, which
+    the batch updates only through NULLs: the inserted distances lie
+    outside the learned domain, so the ``distance`` table is dropped
+    and rebuilt by the first read after the commit, by design."""
     import copy
     import json
     import threading
@@ -296,6 +301,7 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
     deepdb = DeepDB(*copy.deepcopy((database, ensemble)))
     twin = DeepDB(*copy.deepcopy((database, ensemble)))
     probe = "SELECT COUNT(*) FROM flights WHERE flights.distance > 20000"
+    patched_probe = "SELECT COUNT(*) FROM flights WHERE flights.month = 7"
     rng = np.random.default_rng(37)
     ops = [
         {"op": "insert", "table": "flights",
@@ -315,10 +321,20 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
         with urllib.request.urlopen(request, timeout=20) as response:
             return json.loads(response.read().decode("utf-8"))
 
+    def table_builds(url):
+        with urllib.request.urlopen(url + "/stats", timeout=20) as response:
+            stats = json.loads(response.read().decode("utf-8"))
+        return stats["serving"]["models"]["flights"]["kernel"][
+            "scope_table_builds"
+        ]
+
     registry = ModelRegistry()
     registry.register("flights", deepdb, cache_size=0)
     observed, updated = [], threading.Event()
     with start_server(registry) as server:
+        # Built before the batch stages, so the staged patch covers it.
+        post(server.url, "/query", {"sql": patched_probe})
+
         def reader():
             while not updated.is_set():
                 observed.append(
@@ -335,6 +351,9 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
             for thread in readers:
                 thread.join(20)
         observed.append(post(server.url, "/query", {"sql": probe})["value"])
+        builds = table_builds(server.url)
+        patched = post(server.url, "/query", {"sql": patched_probe})["value"]
+        rebuilt = table_builds(server.url) - builds
         flushes = server.stats()["serving"]["update_coalescers"]["flights"]
 
     if payload.get("applied") != n_ops or flushes["flushes"] != 1:
@@ -352,9 +371,14 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
         print(f"FAIL: end state ({observed[-1]!r}) != serial twin "
               f"({final!r})")
         return 1
+    if rebuilt or patched != float(twin.cardinality(patched_probe)):
+        print(f"FAIL: the final read after the /update commit built "
+              f"{rebuilt} fused leaf tables (the commit patches them) "
+              f"or answered {patched!r}, not the serial twin's")
+        return 1
     print(f"OK: one {n_ops}-op /update staged on the writer thread beside "
           f"{len(observed) - 1} concurrent HTTP reads, all serially "
-          f"reachable, end state == the serial twin "
+          f"reachable, end state == the serial twin, no table rebuilt "
           f"({time.perf_counter() - start:.1f}s)")
     return 0
 

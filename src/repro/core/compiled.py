@@ -37,7 +37,10 @@ Lowering (:class:`CompiledRSPN`):
   histograms into a fused table (below) -- which is why
   :func:`invalidate` or :func:`refresh_weights` must be called
   whenever sum counts *or leaf histograms* change
-  (:mod:`repro.core.updates` does this); both drop the tables.
+  (:mod:`repro.core.updates` does this).  A batch commit
+  (:func:`refresh_weights` with the batch's staged tables) swaps in
+  tables patched from the batch's leaf shadows; serial updates,
+  :func:`invalidate` and the drift swap drop them.
 
 Accumulation order is **pinned** (see :mod:`repro.core.kernels`): sum
 and product nodes accumulate children left to right with the weight
@@ -438,6 +441,7 @@ class CompiledRSPN:
         self.plan = _FusedPlan(order, index_of, heights, index_of[id(root)])
 
         self._scope_tables: dict = {}
+        self.scope_table_builds = 0
         # Arena pool + sweep telemetry (kernel_stats / serving /stats).
         self._pool_lock = threading.Lock()
         self._arena_pool: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -595,20 +599,55 @@ class CompiledRSPN:
         ``DiscreteLeaf`` rows (``None`` when it has none) and the
         ``(slot, leaf)`` entries of every other leaf kind, which keep
         the per-leaf fill.  Built on the first query that conditions on
-        the scope -- never at load, start-up or learn -- and dropped by
-        :meth:`drop_scope_tables`."""
+        the scope -- never at load, start-up or learn; counted in
+        ``scope_table_builds``.  A batch commit swaps in a patched
+        table (:meth:`stage_scope_tables`); every other mutation path
+        drops it (:meth:`drop_scope_tables`)."""
         cached = self._scope_tables.get(scope_index)
         if cached is None:
             entries = self.plan.leaf_slots_by_scope[scope_index]
             fused = [e for e in entries if type(e[1]) is DiscreteLeaf]
             per_leaf = tuple(e for e in entries if type(e[1]) is not DiscreteLeaf)
-            cached = (DiscreteScopeTable(fused) if fused else None, per_leaf)
+            table = None
+            if fused:
+                table = DiscreteScopeTable(fused)
+                self.scope_table_builds += 1
+            cached = (table, per_leaf)
             self._scope_tables[scope_index] = cached
         return cached
 
+    def stage_scope_tables(self, shadows):
+        """``{scope: (built entry, patched entry)}`` for every table
+        built so far, each patched from a batch's staged leaf
+        ``shadows`` (``{id(live leaf): shadow}``, see
+        :meth:`~repro.core.leaves.DiscreteScopeTable.patched`).
+
+        Runs on the writer while the batch stages, beside readers, and
+        mutates nothing; :meth:`refresh_weights` swaps the result in at
+        commit.  A table whose leaves gained a value outside its domain
+        is left out (it rebuilds lazily), and so is everything on a
+        form whose plan cannot be refreshed (tape-restored forms, whose
+        leaves are not the tree's).
+        """
+        if self.plan.op_nodes is None:
+            return {}
+        staged = {}
+        for scope, entry in list(self._scope_tables.items()):
+            table, per_leaf = entry
+            if table is None:  # per-leaf rows only: nothing baked
+                staged[scope] = (entry, entry)
+                continue
+            patched = table.patched(shadows)
+            if patched is table:
+                staged[scope] = (entry, entry)
+            elif patched is not None:
+                staged[scope] = (entry, (patched, per_leaf))
+        return staged
+
     def drop_scope_tables(self):
         """Forget the fused leaf tables: they bake leaf histograms, so
-        every mutation path calls this before the next sweep."""
+        serial updates, :func:`invalidate` and the drift swap call this
+        before the next sweep (a batch commit patches them instead)."""
         self._scope_tables = {}
 
     # ------------------------------------------------------------------
@@ -644,7 +683,7 @@ class CompiledRSPN:
         """Digest of the fused plan; see :meth:`_FusedPlan.signature`."""
         return self.plan.signature()
 
-    def refresh_weights(self):
+    def refresh_weights(self, staged=None):
         """Re-bake every baked sum-weight array from the live nodes.
 
         The incremental-invalidation fast path: after a batch of count
@@ -655,8 +694,20 @@ class CompiledRSPN:
         re-lowering ``compiled_for`` would do.  Returns ``False`` when
         this form has no node back-references (tape-restored mapped
         forms): the caller falls back to a full recompile.
+
+        The leaf payloads moved with the counts, so the fused tables
+        are replaced by ``staged`` (:meth:`stage_scope_tables` of this
+        batch) in one pointer swap: a patched table is kept only while
+        the live entry is still the one it was patched from.  A table a
+        reader built after staging baked the pre-commit leaves and is
+        dropped, as is every table when ``staged`` is ``None``.
         """
-        self.drop_scope_tables()  # leaf payloads moved with the counts
+        live = self._scope_tables
+        self._scope_tables = {
+            scope: patched
+            for scope, (built, patched) in (staged or {}).items()
+            if live.get(scope) is built
+        }
         return self.plan.refresh_weights()
 
     def kernel_stats(self) -> dict:
@@ -679,6 +730,7 @@ class CompiledRSPN:
             "arena_pooled": pooled,
             "scope_tables": len(tables),
             "scope_table_bytes": sum(table.nbytes for table in tables),
+            "scope_table_builds": self.scope_table_builds,
             "sweeps": self.sweep_count,
             "sweep_queries": queries,
             "sweep_ns_total": self.sweep_ns,
@@ -1110,6 +1162,7 @@ class MappedCompiledRSPN(CompiledRSPN):
         )
 
         self._scope_tables = {}
+        self.scope_table_builds = 0
         self._pool_lock = threading.Lock()
         self._arena_pool = []
         self.arena_allocations = 0
@@ -1190,7 +1243,7 @@ def invalidate(root):
         form.drop_scope_tables()
 
 
-def refresh_weights(root) -> int:
+def refresh_weights(root, staged=None) -> int:
     """Incremental invalidation: bump the generation but *keep* the
     compiled form, patching its baked sum weights in place.
 
@@ -1202,14 +1255,19 @@ def refresh_weights(root) -> int:
     mutations that change **sum counts and leaf payloads** (the batch
     applier's footprint); anything structural must use
     :func:`invalidate`.  Falls back to dropping the cache entry when
-    the form cannot be patched (mapped forms).  Returns the new
-    generation.
+    the form cannot be patched (mapped forms).  ``staged`` is
+    ``(form, form.stage_scope_tables(...))``, taken from :func:`peek`
+    while the batch staged: its patched fused tables replace the form's tables when the form is
+    still the one they were staged from; otherwise (and when it is
+    ``None``) the tables are dropped and rebuild lazily.  Returns the
+    new generation.
     """
     current = generation(root) + 1
     _GENERATIONS[root] = current
     form = _CACHE.get(root)
     if form is not None:
-        if form.refresh_weights():
+        tables = staged[1] if staged is not None and staged[0] is form else None
+        if form.refresh_weights(tables):
             form.generation = current
         else:
             _CACHE.pop(root, None)

@@ -297,17 +297,21 @@ class DiscreteScopeTable:
     bound.  Relies on what ``fit``/``update`` maintain: a leaf's values
     are strictly increasing.
 
-    The table bakes the histograms, so its owner (the compiled form)
-    must drop it whenever a leaf of the scope may have changed.
+    The table bakes the histograms.  Its owner (the compiled form)
+    keeps it current across a batch commit with :meth:`patched`, and
+    drops it on every other mutation path (serial updates,
+    ``compiled.invalidate``, the drift swap).
     """
 
     __slots__ = ("slots", "domain", "counts", "present", "cum",
-                 "null_counts", "divisors", "empty")
+                 "null_counts", "totals", "divisors", "empty", "rows")
 
     def __init__(self, entries):
         """``entries`` are ``(arena slot, DiscreteLeaf)`` pairs."""
         leaves = [leaf for _, leaf in entries]
         self.slots = np.array([slot for slot, _ in entries], dtype=np.intp)
+        # id(live leaf) -> row: how a batch commit finds a leaf's row.
+        self.rows = {id(leaf): row for row, leaf in enumerate(leaves)}
         self.domain = np.unique(np.concatenate([leaf.values for leaf in leaves]))
         shape = (len(leaves), self.domain.shape[0])
         self.counts = np.zeros(shape, dtype=float)
@@ -321,9 +325,67 @@ class DiscreteScopeTable:
         # Each leaf's own ``total`` (its pairwise sum over its own
         # counts), not ``cum[:, -1]``: the divisor must carry the
         # oracle's exact bits.
-        totals = np.array([leaf.total for leaf in leaves])
-        self.empty = np.flatnonzero(totals == 0.0)
-        self.divisors = np.where(totals == 0.0, 1.0, totals)[:, None]
+        self.totals = np.array([leaf.total for leaf in leaves])
+        self._set_divisors()
+
+    def _set_divisors(self):
+        self.empty = np.flatnonzero(self.totals == 0.0)
+        self.divisors = np.where(self.totals == 0.0, 1.0, self.totals)[:, None]
+
+    def patched(self, shadows):
+        """This table with the rows of updated leaves rebuilt, ``==`` a
+        fresh table over the updated leaves.
+
+        ``shadows`` maps ``id(live leaf)`` to the leaf's staged
+        :class:`DiscreteLeaf` shadow (a batch's copy-on-write state).
+        Returns ``self`` when no shadow belongs to this table, and
+        ``None`` when a shadow holds a value outside ``domain`` (a
+        fresh table would have a wider domain; the owner rebuilds it
+        lazily).  Copy-on-write: readers may still sweep ``self``, so
+        the changed arrays are copies and the rest (``slots``,
+        ``domain``, ``rows``, and ``present`` unless a leaf gained a
+        value) are shared.  A leaf's values only grow under updates, so
+        the union domain of the updated leaves is ``domain`` itself;
+        row-wise prefix sums are per row, so recomputing the touched
+        rows gives the fresh table's bits.
+        """
+        picked = [
+            (row, shadows[key]) for key, row in self.rows.items()
+            if key in shadows
+        ]
+        if not picked:
+            return self
+        domain = self.domain
+        rows = np.array([row for row, _ in picked], dtype=np.intp)
+        sizes = [leaf.values.shape[0] for _, leaf in picked]
+        values = np.concatenate([leaf.values for _, leaf in picked])
+        columns = np.searchsorted(domain, values)
+        if (columns == domain.shape[0]).any() or not np.array_equal(
+            domain[columns], values
+        ):
+            return None
+        owners = np.repeat(np.arange(rows.shape[0]), sizes)
+        present = np.zeros((rows.shape[0], domain.shape[0]), dtype=bool)
+        present[owners, columns] = True
+        table = object.__new__(DiscreteScopeTable)
+        table.slots, table.domain, table.rows = self.slots, domain, self.rows
+        table.present = self.present
+        if not np.array_equal(self.present[rows], present):
+            table.present = self.present.copy()
+            table.present[rows] = present
+        table.counts = self.counts.copy()
+        table.counts[rows] = 0.0
+        table.counts[rows[owners], columns] = np.concatenate(
+            [leaf.counts for _, leaf in picked]
+        )
+        table.cum = self.cum.copy()
+        table.cum[rows, 1:] = np.cumsum(table.counts[rows], axis=1)
+        table.null_counts = self.null_counts.copy()
+        table.null_counts[rows] = [leaf.null_count for _, leaf in picked]
+        table.totals = self.totals.copy()
+        table.totals[rows] = [leaf.total for _, leaf in picked]
+        table._set_divisors()
+        return table
 
     @staticmethod
     def _prefix(weights):
@@ -334,7 +396,8 @@ class DiscreteScopeTable:
     @property
     def nbytes(self):
         return sum(
-            getattr(self, name).nbytes for name in self.__slots__
+            getattr(self, name).nbytes
+            for name in self.__slots__ if name != "rows"
         )
 
     def evaluate(self, prepared):

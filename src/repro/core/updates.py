@@ -17,15 +17,19 @@ Two appliers share that arithmetic:
   sub-batch at once -- a k-means sum node routes it with one
   ``predict`` -- into copy-on-write shadows of exactly the nodes it
   touches, so the live tree is never mutated while readers sweep it.
-  It is then *committed* as one O(touched) pointer swap followed by a
-  single :func:`repro.core.compiled.refresh_weights` -- one generation bump
-  per batch, compiled plan patched in place rather than rebuilt.  The
-  commit is the only step that must exclude readers; the serving
-  front-end stages on its writer thread, off the loop that answers
-  reads.  Every node sees the same tuples in the same order as under
-  the serial path, with the same count arithmetic (the ``max(0, ...)``
-  clamp included), so a committed batch is bit-identical (``==``) to
-  applying its tuples one at a time.
+  The end of staging also patches the compiled form's fused leaf
+  tables from the shadows
+  (:meth:`repro.core.compiled.CompiledRSPN.stage_scope_tables`).
+  The batch is then *committed* as one O(touched) pointer swap
+  followed by a single :func:`repro.core.compiled.refresh_weights` --
+  one generation bump per batch, compiled plan patched in place and
+  the patched tables swapped in, so no read after the commit rebuilds
+  a table.  The commit is the only step that must exclude readers;
+  the serving front-end stages on its writer thread, off the loop that
+  answers reads.  Every node sees the same tuples in the same order as
+  under the serial path, with the same count arithmetic (the
+  ``max(0, ...)`` clamp included), so a committed batch is
+  bit-identical (``==``) to applying its tuples one at a time.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ class TreeBatch:
         # id(node) -> (node, shadow counts) / (node, shadow leaf).
         self._sums: dict[int, tuple] = {}
         self._leaves: dict[int, tuple] = {}
+        # (compiled form, its fused tables patched from the shadows),
+        # swapped in by commit().
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Staging
@@ -99,13 +106,21 @@ class TreeBatch:
         (see :func:`update_tuple`), ``signs`` the ``n`` matching
         ``+1``/``-1``.  Each node receives its whole sub-batch at once
         and processes it in tuple order, so it steps through exactly
-        the states the serial path would.
+        the states the serial path would.  Ends by patching the
+        compiled form's fused leaf tables from the shadows, still
+        outside any lock readers wait on.
         """
         rows = np.asarray(rows, dtype=float)
         signs = np.asarray(signs, dtype=float)
         if signs.shape[0]:
             self._stage(self.root, rows, signs, np.arange(signs.shape[0]))
             self.staged += signs.shape[0]
+            form = compiled.peek(self.root)
+            self._tables = None if form is None else (
+                form, form.stage_scope_tables({
+                    key: shadow for key, (_, shadow) in self._leaves.items()
+                }),
+            )
 
     def _shadow_counts(self, node):
         entry = self._sums.get(id(node))
@@ -188,8 +203,12 @@ class TreeBatch:
     def commit(self):
         """Publish the shadows and bump the generation once.
 
-        An empty batch is a no-op (no mutation, no bump).  The batch is
-        spent afterwards; stage into a fresh one.
+        The compiled form keeps its plan (sum weights re-baked) and
+        swaps in the fused tables patched at the end of staging; a
+        table a reader built from the pre-commit leaves meanwhile is
+        dropped and rebuilds lazily.  An empty batch is a no-op (no
+        mutation, no bump).  The batch is spent afterwards; stage into
+        a fresh one.
         """
         if not self.staged:
             return
@@ -204,7 +223,8 @@ class TreeBatch:
                 node.counts = shadow.counts
                 node.sums = shadow.sums
             node.null_count = shadow.null_count
-        compiled.refresh_weights(self.root)
+        compiled.refresh_weights(self.root, self._tables)
         self.staged = 0
         self._sums = {}
         self._leaves = {}
+        self._tables = None

@@ -417,7 +417,9 @@ class DeepDB:
         see the active kernel, per-sweep latency, the arena's per-column
         memory footprint and what the fused leaf fill holds resident
         (``scope_tables`` / ``scope_table_bytes``) without
-        instrumenting anything.
+        instrumenting anything.  ``scope_table_builds`` counts fresh
+        table builds: a batch commit patches the tables, so a count
+        that climbs with every commit is a rebuild storm.
         """
         totals = {
             "n_models": 0,
@@ -428,6 +430,7 @@ class DeepDB:
             "arena_bytes_per_column": 0,
             "scope_tables": 0,
             "scope_table_bytes": 0,
+            "scope_table_builds": 0,
         }
         for rspn in self.ensemble.rspns:
             form = rspn.compiled_peek()
@@ -442,6 +445,7 @@ class DeepDB:
             totals["arena_bytes_per_column"] += stats["arena_bytes_per_column"]
             totals["scope_tables"] += stats["scope_tables"]
             totals["scope_table_bytes"] += stats["scope_table_bytes"]
+            totals["scope_table_builds"] += stats["scope_table_builds"]
         queries = totals["sweep_queries"]
         totals["sweep_ns_per_query"] = (
             totals["sweep_ns_total"] / queries if queries else None

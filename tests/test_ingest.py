@@ -28,16 +28,17 @@ import pytest
 
 from repro.core import compiled
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
-from repro.core.leaves import DiscreteLeaf
+from repro.core.leaves import DiscreteLeaf, DiscreteScopeTable
 from repro.core.nodes import SumNode
 from repro.core.updates import TreeBatch, update_tuple
+from repro.datasets.workloads import job_light
 from repro.deepdb import DeepDB
 from repro.ingest import BatchApplier, DriftMonitor, QueueClosed, UpdateOp, UpdateQueue
 from repro.serving import AsyncDeepDB, ModelRegistry, start_server
 from repro.serving.session import ModelSession, Request
 from repro.stats.kmeans import KMeans
 from tests.conftest import build_customer_orders
-from tests.test_nodes_inference import _random_spn
+from tests.test_nodes_inference import _random_spec, _random_spn
 from tests.update_reference import (
     assert_states_equal,
     model_state,
@@ -295,8 +296,9 @@ class TestBatchBitIdentity:
 
 class TestScopeTablesFollowUpdates:
     """Stale-table regression: the fused leaf fill bakes histograms
-    into per-scope tables, so every mutation path must drop them --
-    answers after an update ``==`` a twin that compiles from scratch."""
+    into per-scope tables, so a batch commit patches them and every
+    other mutation path drops them -- answers after an update ``==`` a
+    twin that compiles from scratch."""
 
     PROBES = [
         "SELECT COUNT(*) FROM customer WHERE customer.age > 40",
@@ -314,9 +316,22 @@ class TestScopeTablesFollowUpdates:
         [("delete", "customer", {"region": "EU", "age": 71.0})] * 4
         + [("delete", "orders", {"channel": "ONLINE"})] * 2
     )
+    # Values every touched scope already holds: the commit patches
+    # every table.  (INSERTS adds an age of 133 and, through an orders
+    # row, a 0 to the join's customer indicator: those two scopes
+    # leave their domains and rebuild.)
+    IN_DOMAIN = (
+        [("insert", "customer", {"region": "EU", "age": 71.0})] * 6
+        + [("insert", "customer", {"region": "ASIA", "age": 40.0})] * 3
+        + [("delete", "customer", {"region": "EU", "age": 40.0})] * 2
+        + [("insert", "customer", {"region": None, "age": None})] * 2
+    )
+    RACE_PROBE = "SELECT COUNT(*) FROM customer WHERE customer.region = 'ASIA'"
 
-    def _answers(self, deepdb):
-        return [float(v) for v in deepdb.cardinality_batch(self.PROBES)]
+    def _answers(self, deepdb, probes=None):
+        return [
+            float(v) for v in deepdb.cardinality_batch(probes or self.PROBES)
+        ]
 
     def _assert_matches_fresh_twin(self, deepdb):
         tables = deepdb.kernel_stats()["scope_tables"]
@@ -326,18 +341,135 @@ class TestScopeTablesFollowUpdates:
         assert got == self._answers(_clone(deepdb))
         return got, tables
 
-    def test_batch_commits_drop_the_tables(self, template_deepdb):
+    @staticmethod
+    def _assert_tables_fresh(deepdb):
+        """Every table a compiled form holds ``==`` one built from
+        scratch over the current leaves; returns how many it checked."""
+        checked = 0
+        for rspn in deepdb.ensemble.rspns:
+            form = rspn.compiled_peek()
+            if form is None:
+                continue
+            for scope, (table, _) in form._scope_tables.items():
+                if table is None:
+                    continue
+                fresh = DiscreteScopeTable([
+                    entry for entry in form.plan.leaf_slots_by_scope[scope]
+                    if type(entry[1]) is DiscreteLeaf
+                ])
+                for name in ("domain", "slots", "counts", "present", "cum",
+                             "null_counts", "totals", "divisors", "empty"):
+                    assert np.array_equal(
+                        getattr(table, name), getattr(fresh, name)
+                    ), (scope, name)
+                checked += 1
+        return checked
+
+    def test_batch_commits_patch_the_tables(self, template_deepdb):
         deepdb = _clone(template_deepdb)
         warm = self._answers(deepdb)
-        assert deepdb.kernel_stats()["scope_tables"] > 0
+        stats = deepdb.kernel_stats()
+        tables, builds = stats["scope_tables"], stats["scope_table_builds"]
+        assert tables > 0 and builds == tables
+        deepdb.apply_update_batch(self.IN_DOMAIN)
+        # refresh_weights kept the forms and swapped in patched tables.
+        assert deepdb.kernel_stats()["scope_tables"] == tables
+        assert self._assert_tables_fresh(deepdb) == tables
+        patched, _ = self._assert_matches_fresh_twin(deepdb)
+        assert patched != warm
+        assert deepdb.kernel_stats()["scope_table_builds"] == builds
+        # Values outside a scope's domain: that scope's table is
+        # dropped and rebuilds on the next read; the rest are patched.
         deepdb.apply_update_batch(self.INSERTS)
-        # refresh_weights kept the forms and emptied their tables.
-        assert deepdb.kernel_stats()["scope_tables"] == 0
+        assert 0 < deepdb.kernel_stats()["scope_tables"] < tables
+        self._assert_tables_fresh(deepdb)
         after_insert, _ = self._assert_matches_fresh_twin(deepdb)
-        assert after_insert != warm
+        assert after_insert != patched
+        assert deepdb.kernel_stats()["scope_tables"] == tables
+        builds = deepdb.kernel_stats()["scope_table_builds"]
         deepdb.apply_update_batch(self.DELETES)
+        assert self._assert_tables_fresh(deepdb) == tables
         after_delete, _ = self._assert_matches_fresh_twin(deepdb)
         assert after_delete != after_insert
+        assert deepdb.kernel_stats()["scope_table_builds"] == builds
+
+    def test_table_built_while_a_batch_stages_is_not_kept(
+        self, template_deepdb
+    ):
+        """A read between staging and commit builds a table from the
+        pre-commit leaves; the commit must not keep it stale."""
+        deepdb = _clone(template_deepdb)
+        deepdb.cardinality(self.PROBES[0])  # warms the age scope only
+        pending = deepdb.stage_update_batch(self.IN_DOMAIN)
+        # A read between staging and commit builds the region table
+        # (not warmed yet) from the live, pre-commit leaves.
+        built = deepdb.kernel_stats()["scope_table_builds"]
+        before = float(deepdb.cardinality(self.RACE_PROBE))
+        assert deepdb.kernel_stats()["scope_table_builds"] > built
+        deepdb.commit_update_batch(pending)
+        self._assert_tables_fresh(deepdb)
+        after = float(deepdb.cardinality(self.RACE_PROBE))
+        assert after != before
+        assert after == float(_clone(deepdb).cardinality(self.RACE_PROBE))
+        self._assert_matches_fresh_twin(deepdb)
+
+    def test_patched_tables_answer_like_fresh_ones_after_every_commit(
+        self, learned_imdb, tiny_imdb
+    ):
+        """After every batch commit, answers from the kept (patched)
+        tables are ``==`` a form compiled from scratch, whose tables
+        are built from the updated leaves: on random SPNs (unseen
+        values, NULLs, clamped deletes) and on learned IMDb."""
+        patched = 0
+        for seed in range(6):
+            root = _random_tree(seed)
+            rows, signs = _random_stream(seed)
+            rng = np.random.default_rng(seed)
+            specs = [_random_spec(rng, range(4)) for _ in range(48)]
+            compiled.compiled_for(root).evaluate_batch(specs)
+            for start in range(0, len(signs), 16):
+                batch = TreeBatch(root)
+                batch.stage_rows(rows[start:start + 16], signs[start:start + 16])
+                batch.commit()
+                form = compiled.compiled_for(root)
+                patched += len(form._scope_tables)
+                got = form.evaluate_batch(specs)
+                fresh = compiled.CompiledRSPN(root).evaluate_batch(specs)
+                assert np.array_equal(got, fresh, equal_nan=True)
+        assert patched  # some tables were kept across commits
+
+        deepdb = _clone(learned_imdb)
+        probes = [named.query for named in job_light(tiny_imdb)][:24]
+        deepdb.cardinality_batch(probes)
+        ops = _imdb_ops(np.random.default_rng(5), tiny_imdb, n=192)
+        for start in range(0, len(ops), 32):
+            deepdb.apply_update_batch(ops[start:start + 32])
+            kept = deepdb.kernel_stats()["scope_tables"]
+            assert self._assert_tables_fresh(deepdb) == kept > 0
+            assert self._answers(deepdb, probes) == self._answers(
+                _clone(deepdb), probes
+            )
+
+    def test_post_commit_reads_build_no_table(self, template_deepdb):
+        """``scope_table_builds`` in ``/stats``: warm the probes, commit
+        a batch through the serving session, re-run the probes, and no
+        table is built."""
+        deepdb = _clone(template_deepdb)
+        session = ModelSession("m", deepdb, cache_size=0)
+
+        def served():
+            return [float(value) for value in session.run_batch(
+                [Request("cardinality", sql) for sql in self.PROBES]
+            )]
+
+        warm = served()
+        builds = session.snapshot()["kernel"]["scope_table_builds"]
+        assert builds > 0
+        session.apply_batch(self.IN_DOMAIN)
+        after = served()
+        assert after != warm
+        assert session.snapshot()["kernel"]["scope_table_builds"] == builds
+        assert after == self._answers(_clone(deepdb))
 
     def test_serial_updates_drop_the_tables(self, template_deepdb):
         deepdb = _clone(template_deepdb)

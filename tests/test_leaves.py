@@ -265,6 +265,130 @@ class TestDiscreteScopeTable:
         assert fused[0, 0] == np.inf
         assert fused[1, 0] == (3.0 / 1.0 + 1.0 / 4.0) / 4.0
 
+    FIELDS = ("domain", "slots", "counts", "present", "cum", "null_counts",
+              "totals", "divisors", "empty")
+
+    @staticmethod
+    def _shadow(leaf):
+        """A batch's copy-on-write shadow of ``leaf``."""
+        return DiscreteLeaf(leaf.scope_index, leaf.attribute,
+                            leaf.values.copy(), leaf.counts.copy(),
+                            leaf.null_count)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_patched_table_equals_a_fresh_one(self, seed):
+        """A table patched from staged shadows is ``==`` a table built
+        from scratch over the updated leaves, field by field, and its
+        ``evaluate`` stays ``==`` the per-leaf kernel -- under an
+        inf-factor transform too."""
+        rng = np.random.default_rng(seed)
+        leaves = self._random_leaves(rng, int(rng.integers(1, 7)))
+        table = DiscreteScopeTable([(2 * i + 1, leaf) for i, leaf in enumerate(leaves)])
+        domain = table.domain
+        shadows = {}
+        for leaf in leaves:
+            if rng.random() < 0.4:
+                continue
+            shadow = self._shadow(leaf)
+            for _ in range(int(rng.integers(1, 6))):
+                kind = int(rng.integers(0, 4))
+                if kind == 0:  # may gain a value the leaf lacks
+                    shadow.update(float(rng.choice(domain)), +1)
+                elif kind == 1:  # may clamp a count at zero
+                    shadow.update(float(rng.choice(domain)), -1)
+                elif kind == 2:
+                    shadow.update(None, int(rng.choice([-1, 1])))
+                elif shadow.counts.size:  # fractional counts
+                    shadow.counts[int(rng.integers(shadow.counts.size))] = (
+                        float(rng.uniform(0.0, 3.0))
+                    )
+            shadows[id(leaf)] = shadow
+        if rng.random() < 0.3 and leaves[0].values.size:
+            # A delete that zeroes a whole leaf: the empty/divisor row.
+            shadow = self._shadow(leaves[0])
+            shadow.counts[:] = 0.0
+            shadow.null_count = 0.0
+            shadows[id(leaves[0])] = shadow
+        updated = [shadows.get(id(leaf), leaf) for leaf in leaves]
+        patched = table.patched(shadows)
+        if not shadows:
+            assert patched is table
+            return
+        fresh = DiscreteScopeTable(
+            [(2 * i + 1, leaf) for i, leaf in enumerate(updated)]
+        )
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(patched, name), getattr(fresh, name)), name
+        # Copy-on-write: the base table still describes the old leaves.
+        base = DiscreteScopeTable([(2 * i + 1, leaf) for i, leaf in enumerate(leaves)])
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(table, name), getattr(base, name)), name
+        pool = [None, IDENTITY, SQUARE, INVERSE_FACTOR, self.SHIFT, self.RECIPROCAL]
+        ranges = [self._random_range(rng) for _ in range(12)]
+        transforms = [pool[int(rng.integers(len(pool)))] for _ in range(12)]
+        with np.errstate(all="ignore"):
+            fused = patched.evaluate(PreparedBatch(ranges, transforms))
+            for row, leaf in enumerate(updated):
+                oracle = leaf.evaluate_batch(ranges, transforms)
+                assert np.array_equal(fused[row], oracle, equal_nan=True)
+
+    def test_patch_cases(self):
+        """Each case a batch can stage, against a fresh build."""
+        def leaves():
+            return [
+                DiscreteLeaf(0, "t.x", [0.0, 2.0, 5.0], [1.5, 0.25, 2.0], 1.0),
+                DiscreteLeaf(0, "t.x", [1.0, 2.0], [3.0, 1.0], 0.0),
+                DiscreteLeaf(0, "t.x", [5.0], [1.0], 0.0),
+            ]
+
+        def check(live, shadows):
+            patched = DiscreteScopeTable(list(enumerate(live))).patched(
+                {id(leaf): shadow for leaf, shadow in shadows.items()}
+            )
+            fresh = DiscreteScopeTable(list(enumerate(
+                shadows.get(leaf, leaf) for leaf in live
+            )))
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(patched, name), getattr(fresh, name)), name
+            with np.errstate(all="ignore"):
+                prepared = PreparedBatch([None, None], [self.RECIPROCAL, None])
+                assert np.array_equal(
+                    patched.evaluate(prepared), fresh.evaluate(prepared),
+                    equal_nan=True,
+                )
+            return patched
+
+        live = leaves()
+        shadow = self._shadow(live[2])
+        shadow.update(5.0, -1)  # the leaf's total drops to zero
+        assert check(live, {live[2]: shadow}).empty.tolist() == [2]
+
+        live = leaves()
+        shadow = self._shadow(live[1])
+        shadow.update(None, +1)  # null_count moves
+        assert check(live, {live[1]: shadow}).null_counts.tolist() == [1.0, 1.0, 0.0]
+
+        live = leaves()
+        base = DiscreteScopeTable(list(enumerate(live)))
+        shadow = self._shadow(live[1])
+        shadow.update(0.0, +1)  # gains a value inside the domain
+        patched = check(live, {live[1]: shadow})
+        assert patched.present is not base.present
+        shadow = self._shadow(live[1])
+        shadow.update(2.0, +1)  # same value set: ``present`` is shared
+        assert base.patched({id(live[1]): shadow}).present is base.present
+
+        live = leaves()
+        table = DiscreteScopeTable(list(enumerate(live)))
+        shadow = self._shadow(live[0])
+        shadow.update(7.0, +1)  # outside the domain: rebuild instead
+        assert table.patched({id(live[0]): shadow}) is None
+        shadow = self._shadow(live[0])
+        shadow.update(-1.0, +1)
+        assert table.patched({id(live[0]): shadow}) is None
+        other = DiscreteLeaf(0, "t.x", [1.0], [1.0], 0.0)
+        assert table.patched({id(other): self._shadow(other)}) is table
+
     def test_table_reports_its_footprint(self):
         table = DiscreteScopeTable([(3, make_discrete([1, 2, 2, 5], nulls=1))])
         assert table.slots.tolist() == [3]
