@@ -69,7 +69,6 @@ _SERVING_PATH = os.path.join(os.path.dirname(__file__), "BENCH_serving.json")
 _MODELSTORE_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_modelstore.json"
 )
-_INGEST_PATH = os.path.join(os.path.dirname(__file__), "BENCH_ingest.json")
 # path -> the session's named timing records destined for that file.
 _TRAJECTORIES: dict = {}
 
@@ -93,8 +92,6 @@ record_optimizer_timing = _recorder(_OPTIMIZER_PATH)
 record_serving_timing = _recorder(_SERVING_PATH)
 # BENCH_modelstore.json: mmapped cold start vs JSON, pager counters.
 record_modelstore_timing = _recorder(_MODELSTORE_PATH)
-# BENCH_ingest.json: streaming-ingest throughput.
-record_ingest_timing = _recorder(_INGEST_PATH)
 
 
 def best_of(fn, repeats=3):
@@ -138,13 +135,6 @@ def record_modelstore_timing_fixture():
     """Fixture handing benches the :func:`record_modelstore_timing`
     recorder (BENCH_modelstore.json)."""
     return record_modelstore_timing
-
-
-@pytest.fixture(scope="session", name="record_ingest_timing")
-def record_ingest_timing_fixture():
-    """Fixture handing benches the :func:`record_ingest_timing`
-    recorder (BENCH_ingest.json)."""
-    return record_ingest_timing
 
 
 def _benchmark_records(session):

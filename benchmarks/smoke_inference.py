@@ -36,12 +36,11 @@ estimator protocol:
   low must trigger exactly one mid-execution replan whose realised
   C_out beats the static plan -- with the refreshed cache entry serving
   the repeat without replanning,
-- **streaming ingest**: a bounded queue + batch applier streams
-  hundreds of updates into a served copy of the model while a
-  concurrent reader queries it; the stream must coalesce into
-  multi-op flushes, every reader answer must equal a serially-reachable
-  snapshot state (``==``), and the final estimate must be bit-identical
-  to a serially-updated twin.
+- **streaming ingest**: a writer thread applies hundreds of updates in
+  64-op batches to a served copy of the model while a concurrent
+  reader queries it; every reader answer must equal a whole-batch
+  snapshot state of a serially-updated twin (``==``), and the end
+  state must be bit-identical to the twin's.
 
 This is deliberately tiny (it must finish well inside CI's 30-second
 budget); the full comparisons with throughput assertions live in
@@ -280,7 +279,7 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
     ``n_readers`` HTTP clients keep querying.  The batch commits at
     once, so every read must be the before or the after value, and the
     end state must be ``==`` a twin fed the same ops one tuple at a time
-    through ``update_tuple``.  The commit patches the fused leaf tables
+    through the serial reference of Algorithm 1.  The commit patches the fused leaf tables
     built before the batch staged, so the final read after it builds
     none (``/stats`` ``scope_table_builds``).  It reads ``month``, which
     the batch updates only through NULLs: the inserted distances lie
@@ -694,27 +693,29 @@ def _smoke_adaptive(database, ensemble):
     return 0
 
 
-def _smoke_ingest(database, ensemble, n_ops=400):
-    """Streaming-ingest smoke: coalesced flushes, untorn reads.
+def _smoke_ingest(database, ensemble, n_ops=400, chunk=64):
+    """Streaming-ingest smoke: untorn reads beside a writer thread.
 
-    Streams ``n_ops`` inserts through the bounded queue + batch applier
-    into a served *copy* of the flights model while one reader thread
-    hammers the same session.  Batch commits are bit-identical to the
-    serial path at every op count, so each reader answer must equal
-    (``==``) one of the serially-reachable snapshot states.
+    A writer thread applies ``n_ops`` inserts to a served *copy* of the
+    flights model through ``ModelSession.apply_batch`` in ``chunk``-op
+    batches while one reader thread hammers the same session.  Each
+    reader answer must equal (``==``) the answer of a twin fed the same
+    ops one tuple at a time through the serial reference of Algorithm 1
+    after some whole number of batches -- never part of one -- and the
+    end state must be bit-identical to the twin's.
     """
     import copy
     import threading
 
     from repro.deepdb import DeepDB
-    from repro.ingest import BatchApplier, UpdateOp, UpdateQueue
     from repro.serving.session import ModelSession, Request
 
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.update_reference import model_state, serial_apply, states_equal
+
     start = time.perf_counter()
-    live_db, live_ensemble = copy.deepcopy((database, ensemble))
-    deepdb = DeepDB(live_db, live_ensemble)
-    twin_db, twin_ensemble = copy.deepcopy((database, ensemble))
-    twin = DeepDB(twin_db, twin_ensemble)
+    deepdb = DeepDB(*copy.deepcopy((database, ensemble)))
+    twin = DeepDB(*copy.deepcopy((database, ensemble)))
 
     probe = "SELECT COUNT(*) FROM flights WHERE flights.distance > 20000"
     rng = np.random.default_rng(31)
@@ -723,16 +724,15 @@ def _smoke_ingest(database, ensemble, n_ops=400):
          {"distance": float(rng.integers(21_000, 25_000))})
         for _ in range(n_ops)
     ]
+    batches = [ops[i:i + chunk] for i in range(0, n_ops, chunk)]
     allowed = {float(twin.cardinality_batch([probe])[0])}
-    for op, table, row in ops:
-        twin.insert(table, row)
+    for batch in batches:
+        serial_apply(twin, batch)
         allowed.add(float(twin.cardinality_batch([probe])[0]))
     final = float(twin.cardinality_batch([probe])[0])
 
     session = ModelSession("flights", deepdb, cache_size=0)
-    queue = UpdateQueue(maxsize=1_000)
-    applier = BatchApplier(session, queue, max_batch=64, max_wait_s=0.005)
-    observed = []
+    observed, rejected = [], []
     stop = threading.Event()
 
     def reader():
@@ -740,22 +740,22 @@ def _smoke_ingest(database, ensemble, n_ops=400):
             result = session.run_batch([Request("cardinality", probe)])[0]
             observed.append(float(result))
 
-    thread = threading.Thread(target=reader)
-    thread.start()
-    with applier:
-        for op, table, row in ops:
-            queue.put(UpdateOp(op, table, row))
-    stop.set()
-    thread.join(30.0)
+    def writer():
+        for batch in batches:
+            results = session.apply_batch(batch)
+            rejected.extend(r for r in results if isinstance(r, Exception))
 
-    stats = applier.stats()
-    if stats["applied"] != n_ops or stats["rejected"]:
-        print(f"FAIL: applier dropped ops (applied {stats['applied']} of "
-              f"{n_ops}, rejected {stats['rejected']})")
-        return 1
-    if not stats["flushes"] < n_ops:
-        print(f"FAIL: queue never coalesced ({stats['flushes']} flushes "
-              f"for {n_ops} ops)")
+    reading = threading.Thread(target=reader)
+    reading.start()
+    writing = threading.Thread(target=writer)
+    writing.start()
+    writing.join(30.0)
+    stop.set()
+    reading.join(30.0)
+
+    if rejected:
+        print(f"FAIL: {len(rejected)} of {n_ops} ops rejected "
+              f"(first: {rejected[0]!r})")
         return 1
     torn = [value for value in observed if value not in allowed]
     if torn:
@@ -763,15 +763,16 @@ def _smoke_ingest(database, ensemble, n_ops=400):
               f"(first: {torn[0]!r})")
         return 1
     streamed = float(deepdb.cardinality_batch([probe])[0])
-    if streamed != final:
+    if streamed != final or not states_equal(
+        model_state(deepdb), model_state(twin)
+    ):
         print(f"FAIL: streamed end state {streamed!r} != serial twin "
               f"{final!r}")
         return 1
-    print(f"OK: {n_ops} streamed updates in {stats['flushes']} coalesced "
-          f"flushes (mean {stats['mean_flush']:.0f} ops/flush), "
-          f"{len(observed)} concurrent reads all on consistent snapshots, "
-          f"end state bit-identical to the serial twin "
-          f"({time.perf_counter() - start:.1f}s)")
+    print(f"OK: {n_ops} updates in {len(batches)} {chunk}-op batches on a "
+          f"writer thread, {len(observed)} concurrent reads all on "
+          f"whole-batch snapshots, end state bit-identical to the serial "
+          f"twin ({time.perf_counter() - start:.1f}s)")
     return 0
 
 

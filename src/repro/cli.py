@@ -32,10 +32,9 @@ The serving pair exposes the same model to concurrent clients::
         --sql "SELECT COUNT(*) FROM title WHERE title.production_year > 2005" \
         --sql "SELECT COUNT(*) FROM title WHERE title.kind_id = 0" --stats
 
-``ingest`` streams inserts/deletes (a JSONL file, stdin, or a synthetic
-resample of an existing table) through the bounded update queue and the
-batch applier: one copy-on-write staged commit per flushed batch, one
-generation bump per touched RSPN, readers never blocked::
+``ingest`` applies inserts/deletes (a JSONL file, stdin, or a synthetic
+resample of an existing table) in ``--batch-size`` chunks, each one
+copy-on-write staged commit with one generation bump per touched RSPN::
 
     python -m repro.cli ingest --dataset imdb --scale 0.05 \
         --model model.rspn --synthetic 5000 --table title
@@ -375,8 +374,6 @@ def _synthetic_ops(database, table_name, count, seed, delete_fraction=0.0):
     """
     import numpy as np
 
-    from repro.ingest import UpdateOp
-
     table = database.table(table_name)
     if table.n_rows == 0:
         raise ValueError(f"table {table_name!r} is empty; nothing to sample")
@@ -394,14 +391,13 @@ def _synthetic_ops(database, table_name, count, seed, delete_fraction=0.0):
             if delete_fraction and rng.random() < delete_fraction
             else "insert"
         )
-        ops.append(UpdateOp(op, table_name, row))
+        ops.append((op, table_name, row))
     return ops
 
 
 def _ops_from_jsonl(handle):
-    """Parse ``{"op", "table", "row"}`` JSONL lines into UpdateOps."""
-    from repro.ingest import UpdateOp
-
+    """Parse ``{"op", "table", "row"}`` JSONL lines into
+    ``(op, table, row)`` triples."""
     ops = []
     for number, line in enumerate(handle, 1):
         line = line.strip()
@@ -416,18 +412,16 @@ def _ops_from_jsonl(handle):
             raise ValueError(
                 f"ops line {number}: need an object with 'table' and 'row'"
             )
-        ops.append(UpdateOp(
-            entry.get("op", "insert"), entry["table"], entry["row"]
-        ))
+        ops.append((entry.get("op", "insert"), entry["table"], entry["row"]))
     return ops
 
 
 def _cmd_ingest(args, out):
-    from repro.ingest import BatchApplier, UpdateQueue
-    from repro.serving.session import ModelSession
-
     if bool(args.ops) == bool(args.synthetic):
         print("error: pass exactly one of --ops / --synthetic", file=sys.stderr)
+        return 2
+    if args.batch_size < 1:
+        print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
     database = _build_database(args)
     deepdb = _load_model(args, database)
@@ -446,33 +440,29 @@ def _cmd_ingest(args, out):
         if not ops:
             print("no ops to ingest", file=out)
             return 0
-        session = ModelSession("ingest", deepdb, cache_size=0)
-        queue = UpdateQueue(maxsize=args.queue_size)
-        applier = BatchApplier(
-            session, queue, max_batch=args.batch_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
-        )
         generation_before = deepdb.generation
+        applied = rejected = batches = 0
         start = time.perf_counter()
-        with applier:
-            for op in ops:
-                queue.put(op)  # blocks on a full queue: backpressure
+        for first in range(0, len(ops), args.batch_size):
+            results = deepdb.apply_update_batch(
+                ops[first:first + args.batch_size]
+            )
+            failed = sum(isinstance(r, Exception) for r in results)
+            rejected += failed
+            applied += len(results) - failed
+            batches += 1
         elapsed = time.perf_counter() - start
-        stats = applier.stats()
         generation_after = deepdb.generation
-        rate = stats["applied"] / elapsed if elapsed > 0 else 0.0
-        print(f"ingested {stats['applied']:,} update(s) "
-              f"({stats['rejected']} rejected) in {elapsed:.2f}s "
-              f"({rate:,.0f} updates/s)", file=out)
-        print(f"flushes: {stats['flushes']} "
-              f"(mean batch {stats['mean_flush']:.1f}, "
-              f"max {stats['max_flush']}); queue high-water "
-              f"{stats['queue']['high_water']}", file=out)
+        rate = applied / elapsed if elapsed > 0 else 0.0
+        print(f"ingested {applied:,} update(s) ({rejected} rejected) in "
+              f"{elapsed:.2f}s ({rate:,.0f} updates/s)", file=out)
+        print(f"batches: {batches} of up to {args.batch_size} op(s)",
+              file=out)
         print(f"generation: {generation_before} -> {generation_after} "
               f"({generation_after - generation_before} bump(s) for "
-              f"{stats['applied']:,} tuple(s) -- one per flushed batch "
-              "per touched RSPN, not one per tuple)", file=out)
-        return 1 if stats["rejected"] else 0
+              f"{applied:,} tuple(s) -- one per batch per touched RSPN, "
+              "not one per tuple)", file=out)
+        return 1 if rejected else 0
     finally:
         deepdb.close()
 
@@ -691,7 +681,7 @@ def build_parser():
     serve.set_defaults(handler=_cmd_serve)
 
     ingest = commands.add_parser(
-        "ingest", help="stream inserts/deletes through the batch applier"
+        "ingest", help="apply inserts/deletes to a model in batches"
     )
     _add_dataset_arguments(ingest)
     ingest.add_argument("--model", required=True)
@@ -707,12 +697,7 @@ def build_parser():
                         help="turn this fraction of synthetic ops into "
                              "deletes (default 0)")
     ingest.add_argument("--batch-size", type=int, default=256,
-                        help="applier flush size (default 256)")
-    ingest.add_argument("--max-wait-ms", type=float, default=20.0,
-                        help="applier coalescing window in ms (default 20)")
-    ingest.add_argument("--queue-size", type=int, default=10_000,
-                        help="bounded queue depth; full puts block "
-                             "(backpressure, default 10000)")
+                        help="ops per staged commit (default 256)")
     ingest.set_defaults(handler=_cmd_ingest)
 
     client = commands.add_parser(

@@ -39,8 +39,8 @@ Lowering (:class:`CompiledRSPN`):
   whenever sum counts *or leaf histograms* change
   (:mod:`repro.core.updates` does this).  A batch commit
   (:func:`refresh_weights` with the batch's staged tables) swaps in
-  tables patched from the batch's leaf shadows; serial updates,
-  :func:`invalidate` and the drift swap drop them.
+  tables patched from the batch's leaf shadows; :func:`invalidate`
+  and the drift swap drop them.
 
 Accumulation order is **pinned** (see :mod:`repro.core.kernels`): sum
 and product nodes accumulate children left to right with the weight
@@ -74,10 +74,10 @@ Batched evaluation (:meth:`CompiledRSPN.evaluate_batch`):
   leased arena (no per-chunk allocation; ``arena_allocations`` counts
   pool misses).
 
-The compiled form is cached per root in a :class:`weakref` mapping; the
-owning :class:`~repro.core.rspn.RSPN` (and
-:func:`repro.core.updates.update_tuple`) call :func:`invalidate` after
-mutations that change sum-node weights.
+The compiled form is cached per root in a :class:`weakref` mapping.  A
+batch commit (:class:`repro.core.updates.TreeBatch`) patches it through
+:func:`refresh_weights`; any other mutation that changes sum-node
+weights or leaf histograms calls :func:`invalidate`.
 """
 
 from __future__ import annotations
@@ -646,8 +646,8 @@ class CompiledRSPN:
 
     def drop_scope_tables(self):
         """Forget the fused leaf tables: they bake leaf histograms, so
-        serial updates, :func:`invalidate` and the drift swap call this
-        before the next sweep (a batch commit patches them instead)."""
+        :func:`invalidate` and the drift swap call this before the next
+        sweep (a batch commit patches them instead)."""
         self._scope_tables = {}
 
     # ------------------------------------------------------------------
@@ -1252,8 +1252,9 @@ def refresh_weights(root, staged=None) -> int:
     :func:`invalidate` schedules an O(nodes) re-lowering,
     this re-bakes O(sum nodes) weight arrays and leaves the plan,
     arena allocation and leaf wiring untouched.  Only valid after
-    mutations that change **sum counts and leaf payloads** (the batch
-    applier's footprint); anything structural must use
+    mutations that change **sum counts and leaf payloads** (a
+    :class:`~repro.core.updates.TreeBatch` commit's footprint); anything
+    structural must use
     :func:`invalidate`.  Falls back to dropping the cache entry when
     the form cannot be patched (mapped forms).  ``staged`` is
     ``(form, form.stage_scope_tables(...))``, taken from :func:`peek`

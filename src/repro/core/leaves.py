@@ -299,8 +299,8 @@ class DiscreteScopeTable:
 
     The table bakes the histograms.  Its owner (the compiled form)
     keeps it current across a batch commit with :meth:`patched`, and
-    drops it on every other mutation path (serial updates,
-    ``compiled.invalidate``, the drift swap).
+    drops it on every other mutation path (``compiled.invalidate``,
+    the drift swap).
     """
 
     __slots__ = ("slots", "domain", "counts", "present", "cum",

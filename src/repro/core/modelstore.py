@@ -656,9 +656,8 @@ class MappedRSPN(RSPN):
     genuinely needs nodes: an update, sampling, or direct ``.root``
     access.
 
-    The update path mutates leaf histograms in place, which a read-only
-    view forbids -- so the first ``insert``/``delete`` additionally
-    thaws the tree copy-on-write
+    The first staged update batch (``insert``/``delete`` are one-row
+    batches) additionally thaws the tree copy-on-write
     (:func:`repro.core.compiled.thaw_tree`), after which this model
     owns private writable arrays and behaves like any other RSPN.  The
     backing store stays pinned either way; thawing never invalidates
@@ -763,14 +762,6 @@ class MappedRSPN(RSPN):
         if not self._thawed:
             compiled.thaw_tree(self.root)
             self._thawed = True
-
-    def insert(self, row):
-        self._thaw()
-        return super().insert(row)
-
-    def delete(self, row):
-        self._thaw()
-        return super().delete(row)
 
     def stage_batch(self, ops):
         self._thaw()

@@ -45,9 +45,10 @@ class SumNode(Node):
     def weights(self):
         """Normalised mixture weights, cached until the counts change.
 
-        Callers must treat the returned array as read-only; mutate the
-        counts through :meth:`adjust_count` so the cache (and any
-        compiled form of the tree) can be invalidated.
+        Callers must treat the returned array as read-only.  Counts
+        change only through :class:`repro.core.updates.TreeBatch`, whose
+        commit swaps in new counts, resets this cache and refreshes any
+        compiled form of the tree.
         """
         if self._weights is None:
             total = self.counts.sum()
@@ -58,17 +59,6 @@ class SumNode(Node):
             else:
                 self._weights = self.counts / total
         return self._weights
-
-    def adjust_count(self, index, delta):
-        """Route ``delta`` tuples to child ``index`` (Algorithm 1)."""
-        self.counts[index] = max(0.0, self.counts[index] + delta)
-        self._weights = None
-
-    def route(self, row_values):
-        """Child index for an inserted/deleted tuple (Algorithm 1, line 5)."""
-        if self.kmeans is None:
-            return int(np.argmax(self.counts))
-        return self.kmeans.nearest_center(row_values)
 
 
 class ProductNode(Node):

@@ -25,7 +25,7 @@ from repro.core.inference import EvaluationSpec
 from repro.core.learning import LearningConfig, learn_structure
 from repro.core.nodes import count_nodes
 from repro.core.ranges import Range
-from repro.core.updates import update_tuple
+from repro.core.updates import TreeBatch
 
 
 @dataclass
@@ -216,9 +216,8 @@ class RSPN:
 
     def invalidate_compiled(self):
         """Mark the cached flat-array form stale after out-of-band tree
-        mutations by bumping :attr:`generation`.
-        :meth:`insert`/:meth:`delete` invalidate implicitly through
-        :func:`repro.core.updates.update_tuple`."""
+        mutations by bumping :attr:`generation`.  :meth:`insert`,
+        :meth:`delete` and :meth:`commit_batch` bump it themselves."""
         from repro.core import compiled
 
         compiled.invalidate(self.root)
@@ -270,20 +269,17 @@ class RSPN:
     def insert(self, row: dict):
         """Absorb one inserted tuple (encoded values, keyed by column name).
 
-        The represented full size grows by ``1 / sample_fraction`` so a
-        model learned on a p%-sample stays calibrated when updated with a
-        p%-sample of the inserted tuples, as in Section 6.1.
+        A one-row :meth:`apply_batch`.  The represented full size grows
+        by ``1 / sample_fraction`` so a model learned on a p%-sample
+        stays calibrated when updated with a p%-sample of the inserted
+        tuples, as in Section 6.1.
         """
-        update_tuple(self.root, self._row_vector(row), sign=+1)
-        self.sample_size += 1
-        self.full_size += 1.0 / self.sample_fraction if self.sample_fraction > 0 else 1.0
+        self.apply_batch([(row, +1)])
 
     def delete(self, row: dict):
-        """Remove one tuple (encoded values, keyed by column name)."""
-        update_tuple(self.root, self._row_vector(row), sign=-1)
-        growth = 1.0 / self.sample_fraction if self.sample_fraction > 0 else 1.0
-        self.sample_size = max(0.0, self.sample_size - 1)
-        self.full_size = max(0.0, self.full_size - growth)
+        """Remove one tuple (encoded values, keyed by column name); a
+        one-row :meth:`apply_batch`."""
+        self.apply_batch([(row, -1)])
 
     # -- batched updates (streaming ingest) ----------------------------
     def stage_batch(self, ops):
@@ -295,7 +291,7 @@ class RSPN:
         goes down the tree node by node -- one k-means ``predict`` per
         sum node -- not tuple by tuple, and every
         node still sees its tuples in order, so the result is ``==``
-        the serial :meth:`insert`/:meth:`delete`.  Concurrent readers
+        applying them one at a time.  Concurrent readers
         keep sweeping one consistent tree meanwhile (the serving
         front-end stages on its writer thread).  Returns an opaque
         pending batch for :meth:`commit_batch`, which is the only step
@@ -303,8 +299,6 @@ class RSPN:
         serialized against other writers (the serving session's ingest
         lock does this); readers need no coordination.
         """
-        from repro.core.updates import TreeBatch
-
         batch = TreeBatch(self.root)
         ops = list(ops)
         signs = [sign for _row, sign in ops]
@@ -316,8 +310,9 @@ class RSPN:
 
     def commit_batch(self, pending):
         """Publish a staged batch: one generation bump for the whole
-        batch, size bookkeeping replayed per tuple exactly as the
-        serial :meth:`insert`/:meth:`delete` would have."""
+        batch, size bookkeeping replayed per tuple in batch order (an
+        insert grows the sizes, a delete shrinks them, clamped at
+        zero)."""
         batch, signs = pending
         batch.commit()
         for sign in signs:

@@ -7,29 +7,24 @@ leaves adjust their value distribution.  The tree *structure* never
 changes -- exactly the behaviour (and limitation) the paper describes
 and evaluates in Table 2.
 
-Two appliers share that arithmetic:
-
-- :func:`update_tuple` -- the one-tuple path and the serial reference.
-  Every call invalidates the compiled form, so a stream of N inserts
-  pays N full re-lowerings.
-- :class:`TreeBatch` -- the streaming-ingest path.  A batch is *staged*
-  node by node (:meth:`TreeBatch.stage_rows`): each node takes its whole
-  sub-batch at once -- a k-means sum node routes it with one
-  ``predict`` -- into copy-on-write shadows of exactly the nodes it
-  touches, so the live tree is never mutated while readers sweep it.
-  The end of staging also patches the compiled form's fused leaf
-  tables from the shadows
-  (:meth:`repro.core.compiled.CompiledRSPN.stage_scope_tables`).
-  The batch is then *committed* as one O(touched) pointer swap
-  followed by a single :func:`repro.core.compiled.refresh_weights` --
-  one generation bump per batch, compiled plan patched in place and
-  the patched tables swapped in, so no read after the commit rebuilds
-  a table.  The commit is the only step that must exclude readers;
-  the serving front-end stages on its writer thread, off the loop that
-  answers reads.  Every node sees the same tuples in the same order as
-  under the serial path, with the same count arithmetic (the
-  ``max(0, ...)`` clamp included), so a committed batch is
-  bit-identical (``==``) to applying its tuples one at a time.
+:class:`TreeBatch` is the one applier; a single insert or delete is a
+one-row batch.  A batch is *staged* node by node
+(:meth:`TreeBatch.stage_rows`): each node takes its whole sub-batch at
+once -- a k-means sum node routes it with one ``predict`` -- into
+copy-on-write shadows of exactly the nodes it touches, so the live tree
+is never mutated while readers sweep it.  The end of staging also
+patches the compiled form's fused leaf tables from the shadows
+(:meth:`repro.core.compiled.CompiledRSPN.stage_scope_tables`).  The
+batch is then *committed* as one O(touched) pointer swap followed by a
+single :func:`repro.core.compiled.refresh_weights` -- one generation
+bump per batch, compiled plan patched in place and the patched tables
+swapped in, so no read after the commit rebuilds a table.  The commit
+is the only step that must exclude readers; the serving front-end
+stages on its writer thread, off the loop that answers reads.  Every
+node sees the batch's tuples in tuple order, with the paper's count
+arithmetic (the ``max(0, ...)`` clamp included), so a committed batch
+is bit-identical (``==``) to applying its tuples one at a time -- the
+property the tests check against a serial reference of Algorithm 1.
 """
 
 from __future__ import annotations
@@ -41,35 +36,6 @@ from repro.core.leaves import BinnedLeaf, DiscreteLeaf
 from repro.core.nodes import LeafNode, ProductNode, SumNode
 
 
-def update_tuple(node, row, sign=1):
-    """Insert (``sign=+1``) or delete (``sign=-1``) one tuple.
-
-    ``row`` is the full attribute vector indexed by scope index (NaN for
-    NULL); only the slice covered by each node's scope is inspected.
-    Routing through sum nodes changes their mixture weights, so any
-    compiled flat-array form of the tree is invalidated.
-    """
-    row = np.asarray(row, dtype=float)
-    compiled.invalidate(node)
-    _update(node, row, float(sign))
-
-
-def _update(node, row, sign):
-    if isinstance(node, LeafNode):
-        node.update(row[node.scope_index], sign)
-        return
-    if isinstance(node, SumNode):
-        nearest = node.route(row[np.asarray(node.scope)])
-        node.adjust_count(nearest, sign)
-        _update(node.children[nearest], row, sign)
-        return
-    if isinstance(node, ProductNode):
-        for child in node.children:
-            _update(child, row, sign)
-        return
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
 class TreeBatch:
     """Copy-on-write staging of many tuple updates against one tree.
 
@@ -77,7 +43,7 @@ class TreeBatch:
     the tree: every mutation lands in a private shadow (copied sum
     counts, copied leaf histograms), and routing decisions read those
     shadows so the staged stream sees its own earlier tuples exactly as
-    the serial path would.  ``commit()`` publishes the shadows onto the
+    a tuple-at-a-time update would.  ``commit()`` publishes the shadows onto the
     live nodes -- plain attribute assignments, no array is mutated in
     place -- and performs the batch's single generation bump.  The
     caller (the serving session) runs ``commit()`` under its write
@@ -102,11 +68,11 @@ class TreeBatch:
     def stage_rows(self, rows, signs):
         """Stage a batch of tuples, one tree node at a time.
 
-        ``rows`` is an ``(n, n_columns)`` matrix of attribute vectors
-        (see :func:`update_tuple`), ``signs`` the ``n`` matching
-        ``+1``/``-1``.  Each node receives its whole sub-batch at once
-        and processes it in tuple order, so it steps through exactly
-        the states the serial path would.  Ends by patching the
+        ``rows`` is an ``(n, n_columns)`` matrix of attribute vectors,
+        indexed by scope index (NaN for NULL), ``signs`` the ``n``
+        matching ``+1``/``-1``.  Each node receives its whole sub-batch
+        at once and processes it in tuple order, so it steps through
+        exactly the states a tuple-at-a-time update would.  Ends by patching the
         compiled form's fused leaf tables from the shadows, still
         outside any lock readers wait on.
         """
@@ -170,8 +136,8 @@ class TreeBatch:
             counts = self._shadow_counts(node)
             shadow = counts.tolist()
             if node.kmeans is None:
-                # Serial routing reads the live counts, which include
-                # the batch's earlier tuples: route one tuple at a time.
+                # Argmax routing reads the counts, which include the
+                # batch's earlier tuples: route one tuple at a time.
                 labels = []
                 for sign in signs[index].tolist():
                     nearest = shadow.index(max(shadow))  # np.argmax

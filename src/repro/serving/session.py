@@ -250,9 +250,8 @@ class ModelSession:
     def apply_batch(self, ops):
         """Apply a batch of ``(op, table, row)`` updates.
 
-        The streaming-ingest write path, run by the serving front-end's
-        writer thread (or the ingest :class:`~repro.ingest.BatchApplier`
-        thread), never by the loop that answers reads.  The expensive
+        The serving write path, run by the front-end's writer thread,
+        never by the loop that answers reads.  The expensive
         part -- encoding, routing the batch node by node, histogram
         arithmetic -- is *staged* against copy-on-write shadows under
         the ingest lock only, so readers keep answering from one

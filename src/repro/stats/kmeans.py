@@ -128,15 +128,6 @@ class KMeans:
         points = self._prepare(data, fit=False)
         return self._assign(points, self.centers_)
 
-    def nearest_center(self, row):
-        """Index of the nearest cluster for a single tuple.
-
-        This is the routing primitive of the paper's Algorithm 1: on
-        insert/delete, a sum node asks for the nearest cluster of the
-        incoming tuple and adjusts that child's weight.
-        """
-        return int(self.predict(np.asarray(row, dtype=float).reshape(1, -1))[0])
-
     def state_dict(self):
         """Plain-array state, convenient for equality tests."""
         return {

@@ -1,10 +1,11 @@
-"""Streaming ingest: bounded queue, batch applier, copy-on-write
-snapshots and incremental invalidation.
+"""Streaming ingest: batched updates, copy-on-write snapshots and
+incremental invalidation.
 
 The load-bearing properties, all asserted with ``==`` (never allclose):
 
 - a committed batch leaves every touched RSPN *bit-identical* to a twin
-  that absorbed the same tuples one at a time through the serial path;
+  that absorbed the same tuples one at a time through the serial
+  reference of Algorithm 1 (``tests/update_reference.py``);
 - one batch costs one generation bump per touched RSPN, not one per
   tuple;
 - concurrent readers racing a stream of batches only ever observe one
@@ -30,10 +31,10 @@ from repro.core import compiled
 from repro.core.ensemble import EnsembleConfig, learn_ensemble
 from repro.core.leaves import DiscreteLeaf, DiscreteScopeTable
 from repro.core.nodes import SumNode
-from repro.core.updates import TreeBatch, update_tuple
+from repro.core.updates import TreeBatch
 from repro.datasets.workloads import job_light
 from repro.deepdb import DeepDB
-from repro.ingest import BatchApplier, DriftMonitor, QueueClosed, UpdateOp, UpdateQueue
+from repro.ingest import DriftMonitor
 from repro.serving import AsyncDeepDB, ModelRegistry, start_server
 from repro.serving.session import ModelSession, Request
 from repro.stats.kmeans import KMeans
@@ -43,6 +44,7 @@ from tests.update_reference import (
     assert_states_equal,
     model_state,
     serial_apply,
+    serial_update,
     tree_state,
 )
 
@@ -69,52 +71,6 @@ MIXED_OPS = (
     + [("insert", "orders", {"channel": "ONLINE"})] * 4
     + [("delete", "orders", {"channel": "STORE"})] * 2
 )
-
-
-# ----------------------------------------------------------------------
-# Bounded queue
-# ----------------------------------------------------------------------
-class TestUpdateQueue:
-    def test_fifo_and_batch_coalescing(self):
-        queue = UpdateQueue(maxsize=16)
-        for i in range(5):
-            queue.put(UpdateOp("insert", "customer", {"age": float(i)}))
-        first = queue.get_batch(max_batch=3, max_wait_s=0.0)
-        second = queue.get_batch(max_batch=3, max_wait_s=0.0)
-        assert [op.row["age"] for op in first] == [0.0, 1.0, 2.0]
-        assert [op.row["age"] for op in second] == [3.0, 4.0]
-        assert queue.stats()["dequeued"] == 5
-
-    def test_put_blocks_on_full_queue_until_consumed(self):
-        queue = UpdateQueue(maxsize=2)
-        op = UpdateOp("insert", "customer", {"age": 1.0})
-        queue.put(op)
-        queue.put(op)
-        assert queue.put(op, timeout=0.05) is False  # full: backpressure
-
-        consumed = threading.Event()
-
-        def consumer():
-            queue.get_batch(max_batch=1, max_wait_s=0.0)
-            consumed.set()
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        assert queue.put(op, timeout=5.0) is True  # unblocked by the get
-        thread.join(5.0)
-        assert consumed.is_set()
-        assert queue.stats()["put_waits"] >= 1
-        assert queue.stats()["high_water"] == 2
-
-    def test_close_refuses_producers_but_drains_consumers(self):
-        queue = UpdateQueue(maxsize=8)
-        queue.put(UpdateOp("insert", "customer", {"age": 1.0}))
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put(UpdateOp("insert", "customer", {"age": 2.0}))
-        remaining = queue.get_batch(max_batch=8, max_wait_s=0.0)
-        assert len(remaining) == 1
-        assert queue.get_batch(max_batch=8, max_wait_s=0.0) is None
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +166,7 @@ class TestBatchBitIdentity:
         self, template_deepdb, learned_imdb, tiny_imdb
     ):
         """Staged batches land on exactly the state the serial
-        :func:`update_tuple` path produces, one tuple at a time --
+        reference (:func:`serial_apply`) produces, one tuple at a time --
         arrays compared with ``==``, at every batch size, on learned
         customer/orders and IMDb ensembles and on random trees with
         argmax-routed sum nodes, binned leaves, NULLs, unseen values and
@@ -238,7 +194,7 @@ class TestBatchBitIdentity:
             rows, signs = _random_stream(seed)
             serial = copy.deepcopy(template)
             for row, sign in zip(rows, signs):
-                update_tuple(serial, row, sign)
+                serial_update(serial, row, sign)
             for size in BATCH_SIZES:
                 batched = copy.deepcopy(template)
                 for start in range(0, len(signs), size):
@@ -471,14 +427,21 @@ class TestScopeTablesFollowUpdates:
         assert session.snapshot()["kernel"]["scope_table_builds"] == builds
         assert after == self._answers(_clone(deepdb))
 
-    def test_serial_updates_drop_the_tables(self, template_deepdb):
+    def test_one_op_updates_patch_the_tables(self, template_deepdb):
+        """``DeepDB.insert``/``delete`` are one-op batches: an in-domain
+        one makes the reads after it build no table."""
         deepdb = _clone(template_deepdb)
         warm = self._answers(deepdb)
+        stats = deepdb.kernel_stats()
+        tables, builds = stats["scope_tables"], stats["scope_table_builds"]
         deepdb.insert("customer", {"region": "EU", "age": 71.0})
+        assert self._assert_tables_fresh(deepdb) == tables
         after_insert, _ = self._assert_matches_fresh_twin(deepdb)
         assert after_insert != warm
+        assert deepdb.kernel_stats()["scope_table_builds"] == builds
         deepdb.delete("customer", {"region": "EU", "age": 71.0})
         self._assert_matches_fresh_twin(deepdb)
+        assert deepdb.kernel_stats()["scope_table_builds"] == builds
 
     def test_store_mapped_forms_drop_the_tables(self, template_deepdb, tmp_path):
         path = tmp_path / "model.rspn"
@@ -656,50 +619,6 @@ class TestSessionIngest:
         assert torn == []
         assert float(deepdb.cardinality_batch([probe])[0]) == allowed[-1]
         assert_states_equal(model_state(deepdb), model_state(twin))
-
-
-# ----------------------------------------------------------------------
-# Batch applier thread
-# ----------------------------------------------------------------------
-class TestBatchApplier:
-    def test_applier_drains_and_coalesces(self, template_deepdb):
-        deepdb = _clone(template_deepdb)
-        twin = _clone(template_deepdb)
-        session = ModelSession("m", deepdb, cache_size=0)
-        queue = UpdateQueue(maxsize=1_000)
-        ops = [
-            UpdateOp("insert", "customer",
-                     {"region": "EU" if i % 2 else "ASIA", "age": float(i % 90)})
-            for i in range(400)
-        ]
-        applier = BatchApplier(session, queue, max_batch=128, max_wait_s=0.01)
-        with applier:
-            for op in ops:
-                queue.put(op)
-        assert not applier.running
-        stats = applier.stats()
-        assert stats["applied"] == 400
-        assert stats["rejected"] == 0
-        assert stats["flushes"] < 400  # actually coalesced
-        assert stats["last_generation"] == deepdb.generation
-        assert stats["queue"]["enqueued"] == stats["queue"]["dequeued"] == 400
-        # Bit-identical to the same stream applied serially.
-        for op in ops:
-            twin.insert(op.table, op.row)
-        assert_states_equal(model_state(deepdb), model_state(twin))
-
-    def test_applier_survives_rejected_ops(self, template_deepdb):
-        deepdb = _clone(template_deepdb)
-        session = ModelSession("m", deepdb, cache_size=0)
-        queue = UpdateQueue(maxsize=100)
-        applier = BatchApplier(session, queue, max_batch=16, max_wait_s=0.01)
-        with applier:
-            queue.put(UpdateOp("insert", "customer", {"age": 30.0}))
-            queue.put(UpdateOp("insert", "customer", {"bogus": 1}))
-            queue.put(UpdateOp("insert", "customer", {"age": 40.0}))
-        stats = applier.stats()
-        assert stats["applied"] == 2
-        assert stats["rejected"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,9 @@ class TestKMeans:
         data = two_blobs()
         model = KMeans(n_clusters=2, seed=0).fit(data)
         assert model.centers_.shape == (2, 2)
-        low = model.nearest_center([0.1, -0.1])
-        high = model.nearest_center([5.2, 4.9])
-        assert low != high
+        low, high = model.predict([[0.1, -0.1]]), model.predict([[5.2, 4.9]])
+        assert low.shape == high.shape == (1,)
+        assert low[0] != high[0]
 
     def test_nan_rows_are_imputed(self):
         data = two_blobs()
@@ -41,7 +41,7 @@ class TestKMeans:
 
     def test_nearest_center_with_nan(self):
         model = KMeans(n_clusters=2, seed=0).fit(two_blobs())
-        assert model.nearest_center([np.nan, 5.0]) in (0, 1)
+        assert model.predict([[np.nan, 5.0]])[0] in (0, 1)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
@@ -149,4 +149,5 @@ def test_fit_equals_the_reference_loop(seed):
     labels = model.predict(data)
     assert labels.dtype == reference.predict(data).dtype
     assert np.array_equal(labels, reference.predict(data))
-    assert model.nearest_center(data[0]) == reference.nearest_center(data[0])
+    # One tuple at a time, as update routing sees it.
+    assert np.array_equal(model.predict(data[:1]), reference.predict(data[:1]))

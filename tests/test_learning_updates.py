@@ -9,7 +9,7 @@ from repro.core.learning import LearningConfig, learn_structure
 from repro.core.nodes import LeafNode, ProductNode, SumNode, count_nodes, iter_nodes
 from repro.core.ranges import Range
 from repro.core.rspn import RSPN
-from repro.core.updates import update_tuple
+from repro.core.updates import TreeBatch
 
 
 def correlated_data(n=8_000, seed=0):
@@ -135,9 +135,9 @@ class TestUpdates:
         null_prob = rspn.probability({"t.x": Range.from_operator("IS NULL", None)})
         assert null_prob > 0.0
 
-    def test_update_tuple_rejects_unknown_node(self):
+    def test_batch_rejects_unknown_node(self):
         with pytest.raises(TypeError):
-            update_tuple(object(), np.zeros(3))
+            TreeBatch(object()).stage_rows(np.zeros((1, 3)), [1.0])
 
 
 @settings(max_examples=10, deadline=None)

@@ -251,7 +251,11 @@ class TestAbsorbBatching:
 
         from repro.core.maintenance import delta_database
         from repro.engine.join import qualify
-        from tests.update_reference import assert_states_equal, tree_state
+        from tests.update_reference import (
+            assert_states_equal,
+            serial_insert,
+            tree_state,
+        )
 
         database = _independent_db(seed=40)
         ensemble = learn_ensemble(database, _config())
@@ -274,7 +278,8 @@ class TestAbsorbBatching:
         )
         assert inserted > 0
 
-        # Replay the exact same draw through the serial per-tuple path.
+        # Replay the exact same draw through the serial reference of
+        # Algorithm 1, one tuple at a time.
         serial_rng = np.random.default_rng(42)
         delta = delta_database(database, {"people": mask})
         serial_inserted = 0
@@ -289,7 +294,7 @@ class TestAbsorbBatching:
             )
             keep = serial_rng.random(data.shape[0]) < rspn.sample_fraction
             for row in data[keep]:
-                rspn.insert(dict(zip(columns, row)))
+                serial_insert(rspn, dict(zip(columns, row)))
                 serial_inserted += 1
 
         assert inserted == serial_inserted

@@ -5,6 +5,8 @@ example: an SPN over (region, age) with a 0.3/0.7 sum node, from which
 the paper derives P = 5% for young European customers and E(age | EU).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from repro.core.leaves import (
 )
 from repro.core.nodes import ProductNode, SumNode, count_nodes, iter_nodes
 from repro.core.ranges import Interval, Range
-from repro.core.updates import update_tuple
+from repro.core.updates import TreeBatch
+from tests.update_reference import assert_states_equal, serial_update, tree_state
 
 EU, ASIA = 0.0, 1.0
 
@@ -269,19 +272,23 @@ class TestCompiledAgainstWalk:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agreement_survives_insert_delete(self, seed):
-        """Updates re-route sum weights; the compiled form must be
-        invalidated and re-lowered, not serve stale weights."""
+        """Updates re-route sum weights; the cached compiled form must
+        be patched, not serve stale weights.  One-row batches land on
+        the serial reference's tree state (``==``)."""
         rng = np.random.default_rng(100 + seed)
         scope = tuple(range(3))
         spn = _random_spn(rng, scope, depth=2)
+        serial = copy.deepcopy(spn)
         specs = [_random_spec(rng, scope) for _ in range(9)]
         _assert_batch_matches_walk(spn, specs)  # builds + caches the form
-        for _ in range(5):
+        for sign in [+1.0] * 5 + [-1.0]:
             row = rng.uniform(-5.0, 15.0, len(scope))
-            update_tuple(spn, row, sign=+1)
-        _assert_batch_matches_walk(spn, specs)
-        update_tuple(spn, rng.uniform(-5.0, 15.0, len(scope)), sign=-1)
-        _assert_batch_matches_walk(spn, specs)
+            batch = TreeBatch(spn)
+            batch.stage_rows(row[None, :], [sign])
+            batch.commit()
+            serial_update(serial, row, sign)
+            _assert_batch_matches_walk(spn, specs)
+        assert_states_equal(tree_state(spn), tree_state(serial))
 
     def test_scalar_is_batch_of_one(self):
         spn = paper_figure3_spn()
@@ -358,14 +365,24 @@ class TestCompiledAgainstWalk:
         assert list(evaluate_batch(spn, specs)) == list(reference)
 
 
+def _commit_rows(root, values, sign):
+    """Stage one-column ``values`` with one ``sign`` and commit."""
+    batch = TreeBatch(root)
+    batch.stage_rows(np.asarray(values, dtype=float)[:, None],
+                     [sign] * len(values))
+    batch.commit()
+
+
 class TestSumWeightCache:
     def test_adjust_count_invalidates_cache(self):
+        """A committed count adjustment re-derives the cached weights."""
         a = DiscreteLeaf(0, "x", [0.0], [1.0], 0.0)
         b = DiscreteLeaf(0, "x", [1.0], [1.0], 0.0)
         node = SumNode((0,), [a, b], counts=[1.0, 3.0])
         assert np.allclose(node.weights, [0.25, 0.75])
-        node.adjust_count(0, 2.0)
-        assert np.allclose(node.weights, [0.5, 0.5])
+        _commit_rows(node, [1.0], +1.0)  # argmax routes it to child 1
+        assert node.counts.tolist() == [1.0, 4.0]
+        assert np.allclose(node.weights, [0.2, 0.8])
 
     def test_weights_cached_between_reads(self):
         a = DiscreteLeaf(0, "x", [0.0], [1.0], 0.0)
@@ -374,8 +391,12 @@ class TestSumWeightCache:
         assert node.weights is node.weights  # same cached array
 
     def test_adjust_count_clamps_at_zero(self):
+        """Deletes past zero clamp every count there, and the weights
+        fall back to uniform."""
         a = DiscreteLeaf(0, "x", [0.0], [1.0], 0.0)
-        node = SumNode((0,), [a], counts=[1.0])
-        node.adjust_count(0, -5.0)
-        assert node.counts[0] == 0.0
-        assert np.allclose(node.weights, [1.0])  # uniform fallback
+        b = DiscreteLeaf(0, "x", [1.0], [1.0], 0.0)
+        node = SumNode((0,), [a, b], counts=[1.0, 2.0])
+        assert np.allclose(node.weights, [1.0 / 3.0, 2.0 / 3.0])
+        _commit_rows(node, [0.0] * 5, -1.0)
+        assert node.counts.tolist() == [0.0, 0.0]
+        assert np.allclose(node.weights, [0.5, 0.5])  # uniform fallback

@@ -187,3 +187,67 @@ class TestCli:
             out=out,
         )
         assert code == 1
+
+
+class TestIngestCli:
+    """``repro ingest``: the op list in ``--batch-size`` chunks, one
+    staged commit (one generation bump per touched RSPN) per chunk."""
+
+    DATASET = ["--dataset", "imdb", "--scale", "0.02", "--seed", "1"]
+
+    def _ingest(self, model, *extra):
+        out = _Capture()
+        code = main(["ingest", *self.DATASET, "--model", str(model), *extra],
+                    out=out)
+        return code, out.text
+
+    @staticmethod
+    def _generation_bumps(text):
+        line = next(l for l in text.splitlines() if l.startswith("generation:"))
+        before, after = line.split(":", 1)[1].split("(")[0].split("->")
+        return int(after) - int(before)
+
+    def test_synthetic_ops_apply_in_batches(self, trained_model):
+        from repro.datasets import imdb
+        from repro.deepdb import DeepDB
+
+        deepdb = DeepDB.load(trained_model, imdb.generate(scale=0.02, seed=1))
+        try:
+            touched = len(deepdb.ensemble.touching("title"))
+        finally:
+            deepdb.close()
+        assert touched > 1
+        code, text = self._ingest(
+            trained_model, "--synthetic", "200", "--table", "title",
+            "--batch-size", "64",
+        )
+        assert code == 0
+        assert "ingested 200 update(s) (0 rejected)" in text
+        assert "batches: 4 of up to 64 op(s)" in text
+        assert self._generation_bumps(text) == 4 * touched
+
+    def test_bad_op_is_rejected_alone(self, trained_model, tmp_path):
+        ops = tmp_path / "ops.jsonl"
+        ops.write_text(
+            '{"op": "insert", "table": "title", "row": {"production_year": 2001}}\n'
+            '{"op": "insert", "table": "title", "row": {"no_such_column": 1}}\n'
+            '{"op": "delete", "table": "title", "row": {"production_year": 2001}}\n'
+        )
+        code, text = self._ingest(trained_model, "--ops", str(ops))
+        assert code == 1
+        assert "ingested 2 update(s) (1 rejected)" in text
+
+    def test_batch_size_below_one_exits_2_at_once(
+        self, trained_model, monkeypatch
+    ):
+        import repro.cli
+
+        def no_database(_args):
+            raise AssertionError("built a database for a bad --batch-size")
+
+        monkeypatch.setattr(repro.cli, "_build_database", no_database)
+        code, text = self._ingest(
+            trained_model, "--synthetic", "200", "--batch-size", "0"
+        )
+        assert code == 2
+        assert "ingested" not in text
