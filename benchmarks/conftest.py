@@ -90,7 +90,7 @@ record_timing = _recorder(_TIMING_PATH)
 record_optimizer_timing = _recorder(_OPTIMIZER_PATH)
 # BENCH_serving.json: serving front-end closed-loop throughput.
 record_serving_timing = _recorder(_SERVING_PATH)
-# BENCH_modelstore.json: mmapped cold start vs JSON, pager counters.
+# BENCH_modelstore.json: mmapped cold start.
 record_modelstore_timing = _recorder(_MODELSTORE_PATH)
 
 
@@ -334,7 +334,7 @@ class FlightsServingEnvironment:
 
     The figure environments above keep models deliberately small so the
     accuracy sweeps stay fast; cold start is about what a restarting
-    tenant server pays on a *production-sized* model, so this one learns
+    server pays on a *production-sized* model, so this one learns
     from a 100k-row sample of a 2x flights table (the paper's serving
     scenarios sample 1M+ rows -- this is still conservative).
     """

@@ -9,13 +9,15 @@ concurrent closed-loop clients at it, and shows that
   calls,
 - the LRU result cache serves repeated query texts and is invalidated
   through the model's generation counter when an ``insert`` arrives,
-- the same model is reachable over HTTP (``repro serve`` wraps this).
+- the same model is reachable over HTTP (``repro serve`` wraps this):
+  one process serves one model, and a request naming another is a 400.
 
 Run with: ``PYTHONPATH=src python examples/serving.py``
 """
 
 import asyncio
 import json
+import urllib.error
 import urllib.request
 
 from repro import DeepDB
@@ -98,13 +100,22 @@ def main():
     registry = ModelRegistry()
     registry.register("flights", deepdb)
     with start_server(registry) as server:
-        body = json.dumps({"sql": sql, "database": "flights"}).encode()
-        request = urllib.request.Request(
-            server.url + "/query", body, {"Content-Type": "application/json"}
-        )
-        payload = json.loads(urllib.request.urlopen(request).read())
+        def post_query(body):
+            request = urllib.request.Request(
+                server.url + "/query", json.dumps(body).encode(),
+                {"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request) as response:
+                return json.loads(response.read())
+
+        payload = post_query({"sql": sql, "database": "flights"})
         print(f"  POST /query -> {payload['value']:,.0f} "
               f"({payload['latency_ms']:.1f} ms)")
+        try:
+            post_query({"sql": sql, "database": "imdb"})
+        except urllib.error.HTTPError as refused:
+            print(f"  POST /query naming another model -> HTTP {refused.code}")
+            refused.close()
         served = json.loads(urllib.request.urlopen(server.url + "/stats").read())
         print(f"  GET /stats -> endpoints {sorted(served['endpoints'])}")
 

@@ -45,9 +45,9 @@ calls (micro-batching), results are cached per normalized query text
 with generation-based invalidation, and ``GET /stats`` reports
 latency/throughput/batch-occupancy.  ``client`` fires its ``--sql``
 queries concurrently so a single invocation already exercises
-coalescing.  ``serve`` registers the model lazily: it pages in
-(mmap) on the first query, and
-``--memory-budget-mb`` bounds resident model bytes with LRU eviction.
+coalescing.  One ``serve`` process serves one model, named by its
+``--dataset``; it registers the store lazily and maps it in (mmap) on
+the first query.
 """
 
 from __future__ import annotations
@@ -322,20 +322,14 @@ def _cmd_serve(args, out):
     from repro.serving import ModelRegistry, ServingServer
 
     database = _build_database(args)
-    name = args.name or args.dataset
-    budget = (
-        None if not args.memory_budget_mb
-        else int(args.memory_budget_mb * 1024 * 1024)
-    )
-    registry = ModelRegistry(memory_budget_bytes=budget)
+    name = args.dataset
+    registry = ModelRegistry()
     catalog = registry.register_store(
         name, args.model, database, cache_size=args.cache_size,
         plan_cache=_plan_cache_enabled(args),
     )
     print(f"store-backed model {name!r}: {catalog['blob_bytes']:,} blob "
-          "bytes, pages in (mmap) on first query", file=out)
-    if budget is not None:
-        print(f"memory budget: {budget:,} bytes, LRU eviction", file=out)
+          "bytes, maps in (mmap) on first query", file=out)
     server = ServingServer(
         registry,
         host=args.host,
@@ -346,8 +340,7 @@ def _cmd_serve(args, out):
         drift_interval_s=args.drift_interval or None,
     )
     print(f"serving model {name!r} at {server.url}", file=out)
-    print("endpoints: POST /query, POST /update, GET /stats, GET /models",
-          file=out)
+    print("endpoints: POST /query, POST /update, GET /stats", file=out)
     if args.drift_interval:
         print(f"drift monitor: re-validating column splits every "
               f"{args.drift_interval:g}s; drifted RSPNs are shadow-rebuilt "
@@ -494,7 +487,7 @@ def _cmd_client(args, out):
         return 2
     url = args.url.rstrip("/")
     bodies = [
-        {"sql": sql, "kind": args.kind, "database": args.database}
+        {"sql": sql, "kind": args.kind}
         for sql in args.sql
         for _ in range(args.repeat)
     ]
@@ -651,12 +644,11 @@ def build_parser():
     plan.set_defaults(handler=_cmd_plan)
 
     serve = commands.add_parser(
-        "serve", help="HTTP serving front-end with micro-batching"
+        "serve", help="HTTP serving front-end with micro-batching: one "
+                      "process serves one model, named by its --dataset"
     )
     _add_dataset_arguments(serve)
     serve.add_argument("--model", required=True)
-    serve.add_argument("--name", default=None,
-                       help="model name in the registry (default: dataset)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 picks an ephemeral port)")
@@ -668,13 +660,8 @@ def build_parser():
                        help="admission-control cap on in-flight requests")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="LRU result-cache entries (0 disables)")
-    serve.add_argument("--memory-budget-mb", type=float, default=0,
-                       help="cap resident store-backed model bytes; beyond "
-                            "it, least-recently-used models are evicted and "
-                            "transparently page back in on their next query "
-                            "(0 = unbounded)")
     serve.add_argument("--drift-interval", type=float, default=0,
-                       help="re-validate resident models' column splits "
+                       help="re-validate the loaded model's column splits "
                             "every N seconds in the background, shadow-"
                             "rebuilding drifted RSPNs (0 = off)")
     _add_plan_cache_argument(serve)
@@ -710,9 +697,6 @@ def build_parser():
                              "concurrently (they coalesce server-side)")
     client.add_argument("--kind", default="cardinality",
                         choices=("cardinality", "approximate", "plan"))
-    client.add_argument("--database", default=None,
-                        help="model name to route to (default: the server's "
-                             "only model)")
     client.add_argument("--repeat", type=int, default=1,
                         help="send each query this many times")
     client.add_argument("--concurrency", type=int, default=32,

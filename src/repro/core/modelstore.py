@@ -14,9 +14,9 @@ histograms, no node-tree rebuild, no recompile, no histogram copy.  The
 Python node tree only materialises
 (:func:`~repro.core.compiled.import_tree_arrays`) when an update
 genuinely needs nodes.  Cold start is
-O(metadata) and resident memory is demand-paged by the OS, which is
-what lets one server host thousands of tenant models (see
-:class:`repro.serving.registry.ModelRegistry`'s LRU pager).
+O(metadata) and resident memory is demand-paged by the OS, so a server
+registers its model by file and loads it on the first query (see
+:class:`repro.serving.registry.ModelRegistry`).
 
 File layout (all integers little-endian)::
 
@@ -41,8 +41,9 @@ alive (``BufferError``), so the store counts loaded ensembles as pins
 pin dies.  CPython runs an object's finalizers *before* clearing its
 ``__dict__``, so at finalizer time the tree views still exist; deferred
 closes therefore park on a module-level pending list swept by
-:func:`sweep_pending` (called from :func:`open_store`, registry paging
-operations, and atexit).  For a deterministic unmap use
+:func:`sweep_pending` (called from :func:`open_store`,
+:meth:`ModelRegistry.close <repro.serving.registry.ModelRegistry.close>`,
+and atexit).  For a deterministic unmap use
 ``DeepDB.close()``, which drops the tree references first.
 """
 
@@ -661,7 +662,7 @@ class MappedRSPN(RSPN):
     (:func:`repro.core.compiled.thaw_tree`), after which this model
     owns private writable arrays and behaves like any other RSPN.  The
     backing store stays pinned either way; thawing never invalidates
-    other tenants of the same store file.
+    other models loaded from the same store file.
     """
 
     def __init__(self, store, index, tree_meta, tree_arrays, **kwargs):

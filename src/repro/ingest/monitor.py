@@ -6,7 +6,7 @@ after heavy inserts go unrepresented (Section 5.2).  The paper's remedy
 RSPNs "in the background, as for traditional indexes" -- runs here:
 
 1. on a cadence, :func:`repro.core.maintenance.check_structure_drift`
-   re-validates every resident model's column splits;
+   re-validates the served model's column splits;
 2. drifted RSPNs are *shadow-learned* off any lock
    (:func:`repro.core.maintenance.rebuild_drifted` only reads the live
    ensemble), so queries and ingest continue unimpeded;
@@ -27,11 +27,11 @@ logger = logging.getLogger(__name__)
 
 
 class DriftMonitor:
-    """Daemon thread re-validating resident models on a cadence.
+    """Daemon thread re-validating the served model on a cadence.
 
-    ``registry`` is a :class:`~repro.serving.registry.ModelRegistry`
-    (only paged-in sessions are checked; paged-out models cannot
-    drift).  ``config`` is the
+    ``registry`` is a :class:`~repro.serving.registry.ModelRegistry`;
+    its model is checked once it has loaded, and never loaded just to
+    be checked (a model still on disk cannot drift).  ``config`` is the
     :class:`~repro.core.ensemble.EnsembleConfig` used to re-learn
     flagged RSPNs; ``None`` uses the defaults.  ``threshold`` overrides
     each RSPN's learning RDC threshold for the check.
@@ -92,7 +92,7 @@ class DriftMonitor:
             self.run_once()
 
     def run_once(self):
-        """One full monitoring round over every resident session.
+        """One monitoring round over the loaded model.
 
         Exposed for tests and for operators who want an on-demand check
         without waiting for the cadence.  Returns the number of RSPNs
@@ -104,40 +104,35 @@ class DriftMonitor:
             round_seed = self.seed + self.rounds
             self.rounds += 1
             self.last_round_at = time.time()
-        rebuilt_total = 0
-        for session in self.registry.resident_sessions():
-            if self._stop.is_set():
-                break
-            start = time.perf_counter()
-            try:
-                deepdb = session.deepdb
-                reports, replacements = rebuild_drifted(
-                    deepdb.ensemble, deepdb.database, self.config,
-                    sample=self.sample, seed=round_seed,
-                )
-                flagged = sum(1 for r in reports if r.has_drift)
-                if replacements:
-                    # The expensive learning ran above, off-lock; only
-                    # the O(replacements) pointer swaps block writers
-                    # and readers, and only for this model.
-                    with session.write_lock():
-                        rebuilt = commit_refresh(deepdb.ensemble, replacements)
-                    rebuilt_total += rebuilt
-                else:
-                    rebuilt = 0
-            except Exception:  # noqa: BLE001 - a failed check must not kill the cadence
-                logger.exception(
-                    "drift check failed for model %r", session.name
-                )
-                with self._lock:
-                    self.errors += 1
-                continue
+        session = self.registry.loaded_session()
+        if session is None or self._stop.is_set():
+            return 0
+        start = time.perf_counter()
+        try:
+            deepdb = session.deepdb
+            reports, replacements = rebuild_drifted(
+                deepdb.ensemble, deepdb.database, self.config,
+                sample=self.sample, seed=round_seed,
+            )
+            flagged = sum(1 for r in reports if r.has_drift)
+            rebuilt = 0
+            if replacements:
+                # The expensive learning ran above, off-lock; only the
+                # O(replacements) pointer swaps block writers and
+                # readers.
+                with session.write_lock():
+                    rebuilt = commit_refresh(deepdb.ensemble, replacements)
+        except Exception:  # noqa: BLE001 - a failed check must not kill the cadence
+            logger.exception("drift check failed for model %r", session.name)
             with self._lock:
-                self.checks += 1
-                self.drift_flags += flagged
-                self.rebuilds += rebuilt
-                self.check_seconds += time.perf_counter() - start
-        return rebuilt_total
+                self.errors += 1
+            return 0
+        with self._lock:
+            self.checks += 1
+            self.drift_flags += flagged
+            self.rebuilds += rebuilt
+            self.check_seconds += time.perf_counter() - start
+        return rebuilt
 
     # ------------------------------------------------------------------
     # Introspection

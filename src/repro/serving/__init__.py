@@ -11,11 +11,9 @@ This package turns that concurrency into batch shape:
 - :mod:`repro.serving.session` -- one servable model: snapshot reads
   vs. exclusive updates (read-write lock) and a generation-checked LRU
   result cache;
-- :mod:`repro.serving.registry` -- named models, routed by database
-  name; store-backed models (:mod:`repro.core.modelstore`) register by
-  file, page in lazily on first query (mmap, millisecond cold start)
-  and are LRU-evicted under ``memory_budget_bytes`` -- one server can
-  host a fleet of tenant models far larger than RAM;
+- :mod:`repro.serving.registry` -- the one model a process serves; a
+  store-backed model (:mod:`repro.core.modelstore`) registers by file
+  and loads lazily on first use (mmap, millisecond cold start);
 - :mod:`repro.serving.server` -- the fronts: the in-process
   :class:`AsyncDeepDB` facade with admission control and its one
   writer thread for update flushes, and a stdlib HTTP/JSON server

@@ -1,7 +1,7 @@
 """The serving front-end: in-process async facade and HTTP/JSON server.
 
-Two entry points share the same machinery (registry -> per-model
-coalescer -> batched session runner):
+Two entry points share the same machinery (the registry's one model ->
+its coalescer -> batched session runner):
 
 - :class:`AsyncDeepDB` -- the in-process facade.  ``await
   async_db.cardinality(sql)`` from any number of concurrent tasks;
@@ -17,7 +17,7 @@ coalescer -> batched session runner):
 
 A read never waits for a write to stage.  Query flushes run on the
 event loop; update flushes run on one writer thread the facade owns,
-one flush per model at a time (updates arriving meanwhile group into
+one flush at a time (updates arriving meanwhile group into
 the next one, in order).  Staging (encoding, routing each batch node by node,
 histogram arithmetic) runs there against copy-on-write shadows while
 the loop keeps answering; the only section that excludes readers is
@@ -25,24 +25,22 @@ the O(touched-nodes) commit under the session's write lock.
 
 Endpoints::
 
-    POST /query   {"sql": ..., "kind": "cardinality"|"approximate"|"plan",
-                   "database": optional-model-name}
-    POST /update  {"op": "insert"|"delete", "table": ..., "row": {...},
-                   "database": optional-model-name}
+    POST /query   {"sql": ..., "kind": "cardinality"|"approximate"|"plan"}
+    POST /update  {"op": "insert"|"delete", "table": ..., "row": {...}}
                   or batched: {"ops": [{"op", "table", "row"}, ...]} --
                   the whole request is one item of the update coalescer,
                   so it flushes as one staged commit, with per-slot
                   results
-    GET  /stats   also carries "update_coalescers" (write-path batching)
-                  and "drift_monitor" (when --drift-interval is set)
-    GET  /stats   per-endpoint latency/throughput, coalescer occupancy,
-                  cache and admission counters
-    GET  /models  registered model names
+    GET  /stats   per-endpoint latency/throughput, query and update
+                  coalescer occupancy, cache and admission counters, and
+                  "drift_monitor" (when --drift-interval is set)
 
-Overload (reads or update ops beyond ``max_inflight``) maps to HTTP
-503, bad requests (unknown model, parse errors, an ``/update`` with
-more ops than ``max_inflight``) to 400, so clients can tell "back off"
-from "fix the query".
+A ``/query`` or ``/update`` body may carry ``"database"``: absent or
+the model's name is served, any other name is a 400.  Overload (reads
+or update ops beyond ``max_inflight``) maps to HTTP 503, bad requests
+(another model's name, parse errors, a malformed ``Content-Length``,
+an ``/update`` with more ops than ``max_inflight``) to 400, so clients
+can tell "back off" from "fix the query".
 """
 
 from __future__ import annotations
@@ -65,15 +63,16 @@ class ServerOverloadedError(RuntimeError):
 
 
 class AsyncDeepDB:
-    """Admission-controlled async facade over a model registry.
+    """Admission-controlled async facade over the registry's one model.
 
     Accepts either a :class:`ModelRegistry` or a bare
     :class:`~repro.deepdb.DeepDB` (registered as ``"default"``).  One
-    micro-batching coalescer is kept per model; mixed request kinds
-    (cardinality / approximate / plan) share a flush, and the session
-    splits them onto the right batched entry points.  Updates go
-    through a second coalescer per model whose flushes run on the
-    facade's one writer thread; :meth:`close` joins it.
+    micro-batching coalescer, bound to the model's session on first
+    use, takes every query; mixed request kinds (cardinality /
+    approximate / plan) share a flush, and the session splits them onto
+    the right batched entry points.  Updates go through a second
+    coalescer whose flushes run on the facade's one writer thread;
+    :meth:`close` joins it.
     """
 
     def __init__(self, models, max_batch_size=32, max_wait_ms=2.0,
@@ -86,18 +85,14 @@ class AsyncDeepDB:
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.max_inflight = int(max_inflight)
-        # name -> (session, coalescer): keyed on session *identity*, not
-        # just name, because the registry's LRU pager can evict and
-        # re-page a model -- the new page-in gets a fresh session, and a
-        # coalescer still bound to the old session's run_batch would pin
-        # the evicted model alive and serve it forever.
-        self._coalescers: dict[str, tuple] = {}
-        # Same, for the write path: concurrent inserts/deletes coalesce
-        # into one session.apply_batch (one staged copy-on-write batch,
-        # one generation bump per touched RSPN) instead of taking the
-        # write lock once per tuple.  Those flushes run on the writer
-        # thread, one per model at a time, off the serving loop.
-        self._update_coalescers: dict[str, tuple] = {}
+        # The query and update coalescers, bound to the model's session
+        # on first use.  Concurrent inserts/deletes coalesce into one
+        # session.apply_batch (one staged copy-on-write batch, one
+        # generation bump per touched RSPN) instead of taking the write
+        # lock once per tuple; those flushes run on the writer thread,
+        # one at a time, off the serving loop.
+        self._queries = None
+        self._updates = None
         self._writer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving-writer"
         )
@@ -122,7 +117,7 @@ class AsyncDeepDB:
         return await self.submit("plan", sql, database)
 
     async def submit(self, kind, sql, database=None):
-        """Admission check, then enqueue on the model's coalescer."""
+        """Admission check, then enqueue on the query coalescer."""
         if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}; expected one of {KINDS}")
         session = self.registry.session(database)
@@ -157,7 +152,7 @@ class AsyncDeepDB:
         return await self.update("delete", table, row, database)
 
     async def update(self, op, table, row, database=None) -> int:
-        """Enqueue one update on the model's *update* coalescer.
+        """Enqueue one update on the *update* coalescer.
 
         Temporally-close updates flush as one
         :meth:`~repro.serving.session.ModelSession.apply_batch` on the
@@ -183,35 +178,33 @@ class AsyncDeepDB:
         touched RSPN), never split across flushes.  Each op counts
         against ``max_inflight``; a request with more ops than the cap
         could never be admitted, so it is refused as a bad request
-        (``ValueError``), not as overload.  The model stays resident
-        until the flush is delivered (:meth:`ModelRegistry.writing`).
-        Returns per-slot results: the post-commit generation, or the
-        rejecting exception instance (every slot holds the exception of
-        a flush that failed as a whole)."""
+        (``ValueError``), not as overload.  Returns per-slot results:
+        the post-commit generation, or the rejecting exception instance
+        (every slot holds the exception of a flush that failed as a
+        whole)."""
         ops = list(ops)
         if len(ops) > self.max_inflight:
             raise ValueError(
                 f"{len(ops)} update ops in one request exceed the "
                 f"in-flight cap of {self.max_inflight}; split the batch"
             )
-        with self.registry.writing(database) as session:
-            self._admit(len(ops))
-            try:
-                return await self._update_coalescer(session).submit(
-                    ops, size=len(ops)
-                )
-            except Exception as error:  # the whole flush failed
-                return [error] * len(ops)
-            finally:
-                self._inflight -= len(ops)
+        session = self.registry.session(database)
+        self._admit(len(ops))
+        try:
+            return await self._update_coalescer(session).submit(
+                ops, size=len(ops)
+            )
+        except Exception as error:  # the whole flush failed
+            return [error] * len(ops)
+        finally:
+            self._inflight -= len(ops)
 
     async def drain(self):
-        """Flush every coalescer's pending requests immediately and wait
+        """Flush both coalescers' pending requests immediately and wait
         for the writer thread to deliver every update flush."""
-        for _session, coalescer in list(self._coalescers.values()):
-            await coalescer.drain()
-        for _session, coalescer in list(self._update_coalescers.values()):
-            await coalescer.drain()
+        for coalescer in (self._queries, self._updates):
+            if coalescer is not None:
+                await coalescer.drain()
 
     def close(self):
         """Join the writer thread once its queued flushes ran (await
@@ -222,36 +215,29 @@ class AsyncDeepDB:
     # Introspection
     # ------------------------------------------------------------------
     def _coalescer(self, session) -> MicroBatchCoalescer:
-        entry = self._coalescers.get(session.name)
-        if entry is None or entry[0] is not session:
-            # First request for this model, or the pager swapped the
-            # session (evict + re-page-in): bind a fresh coalescer to
-            # the live session and drop any stale one (its in-flight
-            # futures resolve against the old session, then it is GC'd).
-            coalescer = MicroBatchCoalescer(
+        if self._queries is None:
+            self._queries = MicroBatchCoalescer(
                 session.run_batch,
                 max_batch_size=self.max_batch_size,
                 max_wait_ms=self.max_wait_ms,
             )
-            self._coalescers[session.name] = (session, coalescer)
-            return coalescer
-        return entry[1]
+        return self._queries
 
     def _update_coalescer(self, session) -> MicroBatchCoalescer:
-        entry = self._update_coalescers.get(session.name)
-        if entry is None or entry[0] is not session:
-            coalescer = MicroBatchCoalescer(
+        if self._updates is None:
+            self._updates = MicroBatchCoalescer(
                 lambda requests: _apply_requests(session, requests),
                 max_batch_size=self.max_batch_size,
                 max_wait_ms=self.max_wait_ms,
                 executor=self._writer,
             )
-            self._update_coalescers[session.name] = (session, coalescer)
-            return coalescer
-        return entry[1]
+        return self._updates
 
     def stats(self) -> dict:
-        """Admission, coalescing, paging and per-model cache counters."""
+        """Admission and coalescing counters, and the model's cache
+        counters; ``coalescers``, ``update_coalescers`` and ``models``
+        are keyed by the model's name (empty until its first use)."""
+        name = self.registry.name
         return {
             "admission": {
                 "admitted": self.admitted,
@@ -259,19 +245,14 @@ class AsyncDeepDB:
                 "inflight": self._inflight,
                 "max_inflight": self.max_inflight,
             },
-            # Copy first: HTTP handler threads read this while the
-            # event-loop thread may be inserting a new model's coalescer.
-            "coalescers": {
-                name: entry[1].stats.snapshot()
-                for name, entry in dict(self._coalescers).items()
-            },
-            "update_coalescers": {
-                name: entry[1].stats.snapshot()
-                for name, entry in dict(self._update_coalescers).items()
-            },
-            "registry": self.registry.stats(),
+            "coalescers": _keyed(name, self._queries),
+            "update_coalescers": _keyed(name, self._updates),
             "models": self.registry.snapshot(),
         }
+
+
+def _keyed(name, coalescer) -> dict:
+    return {} if coalescer is None else {name: coalescer.stats.snapshot()}
 
 
 def _apply_requests(session, requests):
@@ -352,8 +333,6 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path
         if path == "/stats":
             self._timed(path, self._get_stats)
-        elif path == "/models":
-            self._timed(path, lambda: (200, {"models": self.serving.registry.names()}))
         else:
             self._send(404, {"error": f"unknown endpoint {path!r}"})
 
@@ -366,8 +345,12 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             # Drain the unread body so the keep-alive connection is not
             # desynced for the client's next request.
-            self._discard_body()
-            self._send(404, {"error": f"unknown endpoint {path!r}"})
+            try:
+                self._discard_body()
+            except ValueError as exc:
+                self._send(400, {"error": str(exc)})
+            else:
+                self._send(404, {"error": f"unknown endpoint {path!r}"})
 
     # ------------------------------------------------------------------
     def _get_stats(self):
@@ -462,13 +445,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.serving.record(path, time.perf_counter() - start, error)
         self._send(status, payload)
 
+    def _content_length(self) -> int:
+        """The request body's length.  A non-integer or negative
+        ``Content-Length`` leaves no way to find where the next request
+        on a keep-alive connection starts, so the ``ValueError`` (a 400)
+        also closes the connection."""
+        raw = self.headers.get("Content-Length", 0)
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValueError(f"malformed Content-Length {raw!r}")
+        return length
+
     def _discard_body(self):
-        length = int(self.headers.get("Content-Length", 0))
+        length = self._content_length()
         if length:
             self.rfile.read(length)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -493,6 +491,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self._headers_buffer.append(b"\r\n" + encoded)
         self.flush_headers()
 
@@ -518,7 +518,7 @@ class ServingServer:
             max_inflight=max_inflight,
         )
         self.request_timeout_s = request_timeout_s
-        # Background drift repair (Section 5.2): check resident models
+        # Background drift repair (Section 5.2): check the loaded model
         # every drift_interval_s seconds, shadow-rebuild drifted RSPNs
         # off-lock and swap them in under the session write lock.
         self.drift_monitor = None

@@ -122,11 +122,6 @@ class ModelSession:
         self._cache = ResultCache(cache_size)
         self._generation_lock = threading.Lock()
         self._cache_generation = deepdb.generation
-        # Set by ModelRegistry._page_in for store-backed models: the
-        # store path, resident blob bytes, cold-start ns and the
-        # generation at page-in (the pager's dirty check compares
-        # against it).  None for models registered directly.
-        self.paging = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -315,9 +310,6 @@ class ModelSession:
         plan_cache = getattr(self.deepdb, "plan_cache", None)
         if plan_cache is not None:
             snap["plan_cache"] = plan_cache.snapshot()
-        if self.paging is not None:
-            snap["resident"] = True
-            snap["paging"] = dict(self.paging)
         kernel_stats = getattr(self.deepdb, "kernel_stats", None)
         if kernel_stats is not None:
             snap["kernel"] = kernel_stats()

@@ -866,8 +866,8 @@ class TestWriterThread:
             assert hold.started.wait(10)
             clients[1].start()
             for _ in range(500):  # the second waits behind the first
-                entry = server.async_db._update_coalescers.get("m")
-                if entry is not None and entry[1].pending == 1:
+                updates = server.async_db._updates
+                if updates is not None and updates.pending == 1:
                     break
                 time.sleep(0.01)
             closer.start()
@@ -952,8 +952,24 @@ class TestDriftMonitor:
         assert deepdb.generation > generation_before
         assert monitor.stats()["drift_flags"] >= 1
 
-    def test_registry_resident_sessions(self, template_deepdb):
+    def test_registry_loaded_session(self, template_deepdb, tmp_path):
+        """The monitor checks the model once it is in memory and never
+        loads a store-backed one just to check it."""
         deepdb = _clone(template_deepdb)
         registry = ModelRegistry()
         session = registry.register("m", deepdb)
-        assert registry.resident_sessions() == [session]
+        assert registry.loaded_session() is session
+
+        path = tmp_path / "m.rspn"
+        deepdb.save(path)
+        lazy = ModelRegistry()
+        lazy.register_store("m", path, deepdb.database)
+        try:
+            monitor = DriftMonitor(lazy, config=_drift_config(),
+                                   interval_s=3_600)
+            assert monitor.run_once() == 0
+            assert lazy.loaded_session() is None  # still on disk
+            assert monitor.stats()["checks"] == 0
+            assert monitor.stats()["rounds"] == 1
+        finally:
+            lazy.close()

@@ -589,7 +589,7 @@ def test_benchmark_surface_contract(small_model, tmp_path, capsys):
         served = registry.session("m").run_one(Request("cardinality", sql))
         assert served == small_model.cardinality(sql)
         for kernel in ("numba", "numpy", "legacy"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="the only kernel"):
                 registry.register_store(
                     kernel, path, small_model.database, kernel=kernel
                 )
@@ -607,5 +607,6 @@ def test_benchmark_surface_contract(small_model, tmp_path, capsys):
         main(["serve", "--help"])
     usage = capsys.readouterr().out
     assert "--model" in usage
-    for flag in ("--shards", "--transport", "--kernel"):
+    for flag in ("--shards", "--transport", "--kernel", "--memory-budget-mb",
+                 "--name"):
         assert flag not in usage

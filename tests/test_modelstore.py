@@ -1,10 +1,10 @@
-"""Model store: mmapped persistence, corruption safety, the LRU pager.
+"""Model store: mmapped persistence, corruption safety, lazy page-in.
 
 The differential contract is ``==``, never ``allclose``: a model loaded
 from a store file must answer bit-identically to the live model it was
 saved from -- under the fused sweep and its reference oracle
-(``tests/reference_sweep.py``), and through the serving stack before
-and after pager evictions.
+(``tests/reference_sweep.py``), and through the serving registry that
+maps it in on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import json
 import shutil
-import threading
 
 import numpy as np
 import pytest
@@ -28,9 +27,8 @@ from repro.core.modelstore import (
     write_store,
 )
 from repro.deepdb import DeepDB
-from repro.serving import AsyncDeepDB, ModelRegistry, Request
+from repro.serving import ModelRegistry, Request
 from tests.conftest import build_customer_orders, mapped_store_files
-from tests.test_ingest import _HeldStaging
 from tests.reference_sweep import reference_sweep
 
 CARDINALITY_SQLS = [
@@ -373,160 +371,42 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# The LRU pager
+# Lazy page-in of the one store-backed model
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def fleet(live, database, tmp_path):
-    """Three store files of the same model plus a budget that holds one
-    (with headroom) but never two."""
-    paths = {}
-    for name in ("alpha", "beta", "gamma"):
-        path = tmp_path / f"{name}.rspn"
-        write_store(live.ensemble, path, name=name)
-        paths[name] = path
-    blob_bytes = read_catalog(paths["alpha"])["blob_bytes"]
-    budget = int(blob_bytes * 1.5)
-    registry = ModelRegistry(memory_budget_bytes=budget)
-    for name, path in paths.items():
-        registry.register_store(name, path, database)
-    yield registry, paths, budget
+def lazy_registry(store_path, database):
+    registry = ModelRegistry()
+    registry.register_store("only", store_path, database)
+    yield registry
     registry.close()
     gc.collect()
     modelstore.sweep_pending()
 
 
 class TestPager:
-    def test_lazy_registration_pages_in_on_first_query(self, fleet, expected):
-        registry, _paths, _budget = fleet
-        assert registry.stats()["page_ins"] == 0
-        assert registry.stats()["resident_bytes"] == 0
-        result = registry.session("alpha").run_one(
-            Request("cardinality", CARDINALITY_SQLS[0])
-        )
-        assert result == expected[0][0]
-        stats = registry.stats()
-        assert stats["page_ins"] == 1
-        assert stats["resident_bytes"] > 0
-        assert stats["cold_start_ns_last"] > 0
+    """A store-backed model maps in on its first ``session()`` call; a
+    registry holds one model."""
 
-    def test_budget_respected_with_lru_eviction(self, fleet, expected):
-        registry, _paths, budget = fleet
-        for name in ("alpha", "beta", "gamma", "alpha", "beta"):
-            result = registry.session(name).run_one(
-                Request("cardinality", CARDINALITY_SQLS[1])
-            )
-            assert result == expected[0][1]
-            assert registry.stats()["resident_bytes"] <= budget
-        stats = registry.stats()
-        assert stats["page_ins"] == 5  # every switch re-pages under this budget
-        assert stats["evictions"] == 4
-        assert len(registry) == 3  # evicted models stay registered
-
-    def test_eviction_transparent_to_concurrent_query(self, fleet, expected):
-        """A thread mid-batch on a session keeps its snapshot while the
-        pager evicts that model and pages others in."""
-        registry, _paths, _budget = fleet
-        session = registry.session("alpha")
-        errors, answers = [], []
-        started, release = threading.Event(), threading.Event()
-
-        def worker():
-            try:
-                for i in range(50):
-                    if i == 1:
-                        started.set()
-                        release.wait(timeout=30)
-                    answers.extend(
-                        session.run_batch([Request("cardinality", sql)])
-                        for sql in CARDINALITY_SQLS[:2]
-                    )
-            except Exception as error:  # noqa: BLE001
-                errors.append(error)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        started.wait(timeout=30)
-        registry.session("beta")   # evicts alpha (LRU)
-        registry.session("gamma")  # evicts beta
-        assert "alpha" not in registry.snapshot() or not registry.snapshot()[
-            "alpha"
-        ].get("resident", False)
-        release.set()
-        thread.join(timeout=60)
-        assert not errors
-        flat = [r for batch in answers for r in batch]
-        assert set(flat) == {expected[0][0], expected[0][1]}
-        # ... and the next routed query transparently re-pages alpha in.
-        fresh = registry.session("alpha")
-        assert fresh is not session
-        assert fresh.run_one(
+    def test_lazy_registration_pages_in_on_first_query(
+        self, lazy_registry, expected
+    ):
+        assert lazy_registry.loaded_session() is None
+        assert lazy_registry.snapshot() == {}
+        session = lazy_registry.session()
+        assert lazy_registry.loaded_session() is session
+        assert session.deepdb.store is not None  # mapped, not parsed
+        assert session.run_one(
             Request("cardinality", CARDINALITY_SQLS[0])
         ) == expected[0][0]
-
-    def test_dirty_model_is_pinned_not_evicted(self, fleet, expected):
-        """A mutated model's in-memory state is newer than its store
-        file; evicting it would resurrect stale answers."""
-        registry, _paths, _budget = fleet
-        session = registry.session("alpha")
-        session.insert("customer", {"c_id": 876_543, "region": "EU", "age": 41})
-        dirty_answer = session.run_one(Request("cardinality", CARDINALITY_SQLS[1]))
-        assert dirty_answer != expected[0][1]
-        registry.session("beta")
-        registry.session("gamma")
-        stats = registry.stats()
-        assert stats["dirty_pins"] == 1
-        assert registry.snapshot()["alpha"].get("resident") is True
-        again = registry.session("alpha")
-        assert again is session  # never evicted, no re-page-in
-        assert again.run_one(
-            Request("cardinality", CARDINALITY_SQLS[1])
-        ) == dirty_answer
-
-    def test_model_with_a_write_in_flight_is_never_evicted(
-        self, fleet, expected, monkeypatch
-    ):
-        """An update flush stages on the writer thread while the loop
-        pages other models in.  The model being written still looks
-        clean (its generation moves only at commit), yet evicting it
-        would commit into a dropped session and lose the update."""
-        import asyncio
-
-        registry, _paths, _budget = fleet
-        hold = _HeldStaging(monkeypatch)
-        async_db = AsyncDeepDB(registry)
-        row = {"c_id": 876_543, "region": "EU", "age": 41}
-
-        async def scenario():
-            pending = asyncio.ensure_future(async_db.update_batch(
-                [("insert", "customer", row)], "alpha"
-            ))
-            try:
-                for _ in range(1_000):
-                    if hold.started.is_set():
-                        break
-                    await asyncio.sleep(0.01)
-                assert hold.started.is_set()
-                for name in ("beta", "gamma"):  # over budget with alpha
-                    await asyncio.wait_for(
-                        async_db.cardinality(CARDINALITY_SQLS[1], name), 10
-                    )
-            finally:
-                hold.release()
-            return await asyncio.wait_for(pending, 15)
-
-        alpha = registry.session("alpha")
-        try:
-            (result,) = asyncio.run(scenario())
-        finally:
-            async_db.close()
-        assert result == alpha.deepdb.generation
-        assert registry.snapshot()["alpha"].get("resident") is True
-        again = registry.session("alpha")
-        assert again is alpha  # never evicted, so the update survives
-        assert again.run_one(
-            Request("cardinality", CARDINALITY_SQLS[1])
-        ) != expected[0][1]
-        assert registry.stats()["resident_bytes"] > _budget  # alpha pinned
+        got = session.run_batch(
+            [Request("cardinality", sql) for sql in CARDINALITY_SQLS]
+            + [Request("approximate", sql) for sql in APPROXIMATE_SQLS]
+        )
+        _assert_bit_identical(
+            (got[:len(CARDINALITY_SQLS)], got[len(CARDINALITY_SQLS):]),
+            expected,
+        )
+        assert set(lazy_registry.snapshot()) == {"only"}
 
     def test_unnamed_routing_to_single_store(self, live, database, tmp_path):
         path = tmp_path / "only.rspn"
@@ -535,15 +415,26 @@ class TestPager:
         registry.register_store("only", path, database)
         try:
             assert registry.session() is registry.session("only")
+            with pytest.raises(LookupError, match="serves 'only'"):
+                registry.session("other")
         finally:
             registry.close()
 
-    def test_name_conflicts_refused(self, fleet, live, database):
-        registry, paths, _budget = fleet
+    def test_name_conflicts_refused(
+        self, lazy_registry, store_path, live, database
+    ):
+        """A second ``register``/``register_store`` is refused, under
+        the same name or another one."""
+        for name in ("only", "second"):
+            with pytest.raises(ValueError, match="already registered"):
+                lazy_registry.register_store(name, store_path, database)
+            with pytest.raises(ValueError, match="already registered"):
+                lazy_registry.register(name, live)
+        assert lazy_registry.session().name == "only"
+        direct = ModelRegistry()
+        direct.register("live", live)
         with pytest.raises(ValueError, match="already registered"):
-            registry.register_store("alpha", paths["beta"], database)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("alpha", live)
+            direct.register_store("store", store_path, database)
 
     def test_register_store_validates_header(self, database, tmp_path):
         path = tmp_path / "bad.rspn"
@@ -551,48 +442,8 @@ class TestPager:
         registry = ModelRegistry()
         with pytest.raises(ModelStoreError):
             registry.register_store("bad", path, database)
-        assert "bad" not in registry
-
-    def test_snapshot_lists_paged_out_models(self, fleet):
-        registry, paths, _budget = fleet
-        snap = registry.snapshot()
-        assert set(snap) == {"alpha", "beta", "gamma"}
-        assert all(entry["resident"] is False for entry in snap.values())
-        assert snap["alpha"]["store"] == str(paths["alpha"])
-        registry.session("alpha")
-        snap = registry.snapshot()
-        assert snap["alpha"]["resident"] is True
-        assert snap["alpha"]["paging"]["blob_bytes"] > 0
-
-
-class TestServingIntegration:
-    def test_async_stats_and_coalescer_rebinding(self, fleet, expected):
-        """Pager counters ride ``stats()``; eviction + re-page-in swaps
-        the session, and the coalescer must follow it rather than pin
-        the evicted model."""
-        import asyncio
-
-        registry, _paths, _budget = fleet
-        async_db = AsyncDeepDB(registry)
-
-        async def ask(name):
-            return await async_db.cardinality(CARDINALITY_SQLS[0], name)
-
-        assert asyncio.run(ask("alpha")) == expected[0][0]
-        first_session, _ = async_db._coalescers["alpha"]
-        # Page beta and gamma in: alpha is evicted under the budget.
-        assert asyncio.run(ask("beta")) == expected[0][0]
-        assert asyncio.run(ask("gamma")) == expected[0][0]
-        # Alpha re-pages in as a *new* session; the coalescer rebinds.
-        assert asyncio.run(ask("alpha")) == expected[0][0]
-        second_session, _ = async_db._coalescers["alpha"]
-        assert second_session is not first_session
-        stats = async_db.stats()
-        assert stats["registry"]["page_ins"] >= 4
-        assert stats["registry"]["evictions"] >= 3
-        assert stats["registry"]["resident_bytes"] <= _budget
-        assert "alpha" in stats["coalescers"]
-        assert stats["models"]["alpha"].get("resident") is True
+        with pytest.raises(LookupError, match="no model is registered"):
+            registry.session()
 
 
 # ----------------------------------------------------------------------

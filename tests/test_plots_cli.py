@@ -251,3 +251,104 @@ class TestIngestCli:
         )
         assert code == 2
         assert "ingested" not in text
+
+
+class TestServeCli:
+    """``repro serve`` as a process: one model, named by its dataset."""
+
+    DATASET = ["--dataset", "imdb", "--scale", "0.02", "--seed", "1"]
+    SQLS = [
+        "SELECT COUNT(*) FROM title WHERE title.production_year > 2005",
+        "SELECT COUNT(*) FROM title t, movie_keyword mk "
+        "WHERE t.id = mk.movie_id AND t.kind_id = 1",
+    ]
+
+    @staticmethod
+    def _request(address, method, path, body=None):
+        import http.client
+        import json
+
+        connection = http.client.HTTPConnection(*address, timeout=60)
+        try:
+            connection.request(
+                method, path,
+                body=None if body is None else json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @staticmethod
+    def _address(process, log, timeout_s=120.0):
+        """``(host, port)`` from the server's ``at http://`` line."""
+        import time
+
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            for line in log.read_text(errors="replace").splitlines():
+                if " at http://" in line:
+                    host, port = line.rsplit("http://", 1)[1].split(":")
+                    return host, int(port)
+            assert process.poll() is None, log.read_text(errors="replace")
+            time.sleep(0.02)
+        raise AssertionError("serve printed no address in time")
+
+    def test_serve_answers_like_load_and_exits_0_on_sigint(
+        self, trained_model, tmp_path
+    ):
+        import os
+        import signal
+        import subprocess
+        from pathlib import Path
+
+        import repro
+        from repro.datasets import imdb
+        from repro.deepdb import DeepDB
+
+        deepdb = DeepDB.load(trained_model, imdb.generate(scale=0.02, seed=1))
+        try:
+            expected = [float(v) for v in deepdb.cardinality_batch(self.SQLS)]
+        finally:
+            deepdb.close()
+
+        log = tmp_path / "serve.log"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with open(log, "wb") as sink:
+            # The server runs under this interpreter's -W options, so a
+            # run with ResourceWarnings fatal reports its leaks too.
+            process = subprocess.Popen(
+                [sys.executable, *(f"-W{o}" for o in sys.warnoptions),
+                 "-u", "-m", "repro.cli", "serve",
+                 *self.DATASET, "--model", str(trained_model), "--port", "0"],
+                stdout=sink, stderr=subprocess.STDOUT, env=env,
+            )
+        try:
+            address = self._address(process, log)
+            for sql, value, database in zip(self.SQLS, expected,
+                                            (None, "imdb")):
+                body = {"sql": sql}
+                if database is not None:
+                    body["database"] = database
+                status, payload = self._request(address, "POST", "/query", body)
+                assert status == 200, payload
+                assert payload["value"] == value
+            status, payload = self._request(
+                address, "POST", "/query",
+                {"sql": self.SQLS[0], "database": "flights"},
+            )
+            assert status == 400
+            assert "serves 'imdb'" in payload["error"]
+            status, _ = self._request(address, "GET", "/models")
+            assert status == 404
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        output = log.read_text()
+        assert "shutting down" in output
+        assert "ResourceWarning" not in output

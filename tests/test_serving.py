@@ -15,6 +15,7 @@ import json
 import statistics
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -194,27 +195,25 @@ class TestSessionAndRegistry:
         assert third == first
 
     def test_registry_routes_by_name(self, served_deepdb):
+        """One model: its name (or none) routes to it, a second
+        registration is refused, and any other name is a LookupError."""
         second = DeepDB.learn(
             build_customer_orders(n_customers=200, seed=7),
             EnsembleConfig(sample_size=2_000, single_tables_only=True),
         )
         registry = ModelRegistry()
-        registry.register("a", served_deepdb)
-        registry.register("b", second)
-        assert registry.names() == ["a", "b"]
-        assert registry.session("a").name == "a"
-        with pytest.raises(LookupError, match="name one of"):
-            registry.session(None)  # ambiguous with two models
-        with pytest.raises(LookupError, match="registered"):
+        with pytest.raises(LookupError, match="no model is registered"):
+            registry.session()
+        session = registry.register("a", served_deepdb)
+        assert registry.name == "a"
+        assert registry.session("a") is registry.session(None) is session
+        with pytest.raises(LookupError, match="serves 'a'"):
             registry.session("missing")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("a", second)  # name collision
-        with pytest.raises(ValueError, match="snapshot isolation"):
-            # One session per model: a second session over the same
-            # ensemble would bypass the first one's read-write lock.
-            registry.register("alias", served_deepdb)
-        registry.unregister("b")
-        assert registry.session(None).name == "a"  # unambiguous again
+        for name, deepdb in (("a", second), ("b", second),
+                             ("alias", served_deepdb)):
+            with pytest.raises(ValueError, match="already registered"):
+                registry.register(name, deepdb)
+        assert registry.session() is session
 
     def test_admission_control_rejects_beyond_cap(self, served_deepdb):
         async_db = AsyncDeepDB(
@@ -387,14 +386,26 @@ class _RecordingFile:
         pass
 
 
-def _detached_handler(path="/", body=b""):
-    """A ``_Handler`` wired to in-memory files instead of a socket."""
+class _NoServing:
+    """The ``serving`` a detached handler records its timings into."""
+
+    def record(self, path, seconds, error):
+        pass
+
+
+def _detached_handler(path="/", body=b"", length=None):
+    """A ``_Handler`` wired to in-memory files instead of a socket, on
+    a keep-alive HTTP/1.1 connection."""
     handler = object.__new__(_Handler)
     handler.request_version = "HTTP/1.1"
     handler.requestline = f"POST {path} HTTP/1.1"
     handler.command, handler.path = "POST", path
     handler.client_address = ("127.0.0.1", 0)
-    handler.headers = {"Content-Length": str(len(body))}
+    handler.server = types.SimpleNamespace(serving=_NoServing())
+    handler.close_connection = False
+    handler.headers = {
+        "Content-Length": str(len(body)) if length is None else length
+    }
     handler.rfile = io.BytesIO(body + b"NEXT")
     handler.wfile = _RecordingFile()
     return handler
@@ -434,6 +445,27 @@ class TestOneWriteResponses:
             handler, 404, {"error": "unknown endpoint '/nope'"}
         )
         assert handler.rfile.read() == b"NEXT"  # next request not eaten
+        assert handler.close_connection is False
+
+    @pytest.mark.parametrize("path", ["/query", "/nope"])
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_a_400_that_closes(
+        self, path, length
+    ):
+        """Neither length can be read or skipped (``rfile.read(-1)``
+        would wait for the client to hang up), so the handler answers
+        400 at once, without reading, and closes the connection."""
+        handler = _detached_handler(path, b'{"sql": "SELECT 1"}', length)
+        handler.do_POST()
+        assert len(handler.wfile.writes) == 1
+        head, _, body = handler.wfile.writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {
+            "error": f"malformed Content-Length {length!r}"
+        }
+        assert handler.close_connection is True
+        assert handler.rfile.tell() == 0  # nothing read
 
     def test_keep_alive_requests_do_not_wait_out_a_delayed_ack(
         self, served_deepdb
@@ -446,15 +478,15 @@ class TestOneWriteResponses:
                 latencies = []
                 for _ in range(50):
                     start = time.perf_counter()
-                    connection.request("GET", "/models")
+                    connection.request("GET", "/stats")
                     response = connection.getresponse()
                     body = response.read()
                     latencies.append(time.perf_counter() - start)
                     assert response.status == 200
-                    assert json.loads(body) == {"models": ["orders_db"]}
+                    assert "endpoints" in json.loads(body)
             finally:
                 connection.close()
-        # The stall is ~44 ms per request; without it a /models round
+        # The stall is ~44 ms per request; without it a /stats round
         # trip is well under a millisecond of work.
         assert statistics.median(latencies) < 0.020
 
@@ -481,7 +513,10 @@ class TestHttpFrontEnd:
         with start_server(registry) as server:
             url = server.url
 
-            assert self._get(url, "/models") == {"models": ["orders_db"]}
+            with pytest.raises(urllib.error.HTTPError) as no_models:
+                self._get(url, "/models")  # one model: nothing to list
+            assert no_models.value.code == 404
+            no_models.value.close()
 
             payload = self._post(url, "/query", {"sql": CARDINALITY_SQLS[0]})
             assert payload["value"] == served_deepdb.cardinality(
@@ -512,8 +547,18 @@ class TestHttpFrontEnd:
             assert bad_path.value.code == 404
             bad_path.value.close()
 
+            generation = served_deepdb.generation
+            with pytest.raises(urllib.error.HTTPError) as bad_target:
+                self._post(url, "/update", {
+                    "op": "insert", "table": "customer", "database": "missing",
+                    "row": {"c_id": 600_001, "region": "EU", "age": 30},
+                })
+            assert bad_target.value.code == 400
+            bad_target.value.close()
+            assert served_deepdb.generation == generation
+
             updated = self._post(url, "/update", {
-                "op": "insert", "table": "customer",
+                "op": "insert", "table": "customer", "database": "orders_db",
                 "row": {"c_id": 600_002, "region": "ASIA", "age": 28},
             })
             assert updated["ok"] is True
@@ -522,6 +567,11 @@ class TestHttpFrontEnd:
             stats = self._get(url, "/stats")
             assert stats["endpoints"]["/query"]["requests"] == 4
             assert stats["endpoints"]["/query"]["errors"] == 2
-            assert stats["endpoints"]["/update"]["requests"] == 1
+            assert stats["endpoints"]["/update"]["requests"] == 2
+            assert stats["endpoints"]["/update"]["errors"] == 1
+            assert "/models" not in stats["endpoints"]
+            assert "registry" not in stats["serving"]
             assert stats["serving"]["coalescers"]["orders_db"]["requests"] >= 2
+            assert stats["serving"]["update_coalescers"]["orders_db"][
+                "requests"] == 1
             assert stats["serving"]["models"]["orders_db"]["cache"]["misses"] >= 2
