@@ -17,9 +17,8 @@ Asserts, at 32 clients:
   bit-identical),
 - real batch shape formed (mean occupancy well above 1).
 
-The session result cache is disabled (``cache_size=0``) and every
-request text is distinct, so the speedup measures pure coalescing --
-no caching.  Results are recorded to ``benchmarks/BENCH_serving.json``.
+Every request text is distinct, so the speedup measures pure
+coalescing.  Results are recorded to ``benchmarks/BENCH_serving.json``.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q``.
 """
@@ -75,9 +74,7 @@ def test_closed_loop_throughput_coalesced_vs_serial(
     serial_seconds = time.perf_counter() - start
 
     # Coalesced: 32 closed-loop clients over the async facade.
-    async_db = AsyncDeepDB(
-        deepdb, max_batch_size=N_CLIENTS, max_wait_ms=2.0, cache_size=0
-    )
+    async_db = AsyncDeepDB(deepdb, max_batch_size=N_CLIENTS, max_wait_ms=2.0)
     answers = [None] * len(sqls)
 
     async def client(c):

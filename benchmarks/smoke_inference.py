@@ -243,9 +243,7 @@ def _smoke_serving(database, ensemble, n_clients=8, rounds=3):
     ]
     scalar = [deepdb.cardinality(sql) for sql in sqls]
 
-    async_db = AsyncDeepDB(
-        deepdb, max_batch_size=n_clients, max_wait_ms=2.0, cache_size=0
-    )
+    async_db = AsyncDeepDB(deepdb, max_batch_size=n_clients, max_wait_ms=2.0)
     answers = [None] * len(sqls)
 
     async def client(c):
@@ -328,7 +326,7 @@ def _smoke_update_beside_reads(database, ensemble, n_ops=256, n_readers=2):
         ]
 
     registry = ModelRegistry()
-    registry.register("flights", deepdb, cache_size=0)
+    registry.register("flights", deepdb)
     observed, updated = [], threading.Event()
     with start_server(registry) as server:
         # Built before the batch stages, so the staged patch covers it.
@@ -731,7 +729,7 @@ def _smoke_ingest(database, ensemble, n_ops=400, chunk=64):
         allowed.add(float(twin.cardinality_batch([probe])[0]))
     final = float(twin.cardinality_batch([probe])[0])
 
-    session = ModelSession("flights", deepdb, cache_size=0)
+    session = ModelSession("flights", deepdb)
     observed, rejected = [], []
     stop = threading.Event()
 

@@ -7,8 +7,9 @@ concurrent closed-loop clients at it, and shows that
   ``cardinality_batch`` calls (batch occupancy stats),
 - coalesced answers are identical to serial ``DeepDB.cardinality``
   calls,
-- the LRU result cache serves repeated query texts and is invalidated
-  through the model's generation counter when an ``insert`` arrives,
+- an ``insert`` moves the model's generation counter and the next
+  read sees the new value -- answers are never cached, and the
+  generation is what the plan cache and the compiled forms check,
 - the same model is reachable over HTTP (``repro serve`` wraps this):
   one process serves one model, and a request naming another is a 400.
 
@@ -30,7 +31,7 @@ ROUNDS = 4
 
 
 def build_queries():
-    """A distinct query per (client, round): no cache hits, pure coalescing."""
+    """A distinct query per (client, round): pure coalescing."""
     return {
         (client, round_): (
             "SELECT COUNT(*) FROM flights "
@@ -81,20 +82,18 @@ def main():
           f"flushes (mean {coalescer['mean_occupancy']:.1f}, "
           f"max {coalescer['max_occupancy']})")
 
-    print("\nResult cache + generation-counter invalidation...")
+    print("\nAn insert moves the generation; the next read sees it...")
     session = async_db.registry.session()
     sql = queries[0, 0]
-    before = session.snapshot()["cache"]["hits"]
-    asyncio.run(async_db.cardinality(sql))  # same text again -> cache hit
-    print(f"  repeated query text served from cache: "
-          f"{session.snapshot()['cache']['hits'] == before + 1}")
+    before = asyncio.run(async_db.cardinality(sql))
     generation = deepdb.generation
-    session.insert("flights", {"f_id": 10**6, "distance": 5000.0})
+    session.insert("flights", {"f_id": 10**6, "distance": 5000.0, "dep_delay": 0.0})
     print(f"  insert moved the generation counter: "
           f"{deepdb.generation != generation}")
-    asyncio.run(async_db.cardinality(sql))  # recomputed on the new model
-    print(f"  cache invalidated through the counter: "
-          f"{session.snapshot()['cache']['invalidations'] >= 1}")
+    after = asyncio.run(async_db.cardinality(sql))
+    print(f"  next read answers from the updated model: "
+          f"{before:,.1f} -> {after:,.1f} "
+          f"(== serial: {after == deepdb.cardinality(sql)})")
 
     print("\nThe same model over HTTP (what `repro serve` runs)...")
     registry = ModelRegistry()

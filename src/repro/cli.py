@@ -41,9 +41,10 @@ copy-on-write staged commit with one generation bump per touched RSPN::
 
 ``serve`` starts the HTTP/JSON front-end of :mod:`repro.serving`:
 concurrent client queries are coalesced into single batched estimator
-calls (micro-batching), results are cached per normalized query text
-with generation-based invalidation, and ``GET /stats`` reports
-latency/throughput/batch-occupancy.  ``client`` fires its ``--sql``
+calls (micro-batching) and ``GET /stats`` reports
+latency/throughput/batch-occupancy.  Answers are not cached: every
+update changes every answer, and the model generation is what the plan
+cache and the compiled forms check.  ``client`` fires its ``--sql``
 queries concurrently so a single invocation already exercises
 coalescing.  One ``serve`` process serves one model, named by its
 ``--dataset``; it registers the store lazily and maps it in (mmap) on
@@ -76,25 +77,10 @@ def _build_database(args):
     return generator.generate(scale=args.scale, seed=args.seed)
 
 
-def _add_plan_cache_argument(parser):
-    parser.add_argument(
-        "--plan-cache", choices=("on", "off"), default="on",
-        help="memoise join-order planning per canonical query form "
-             "(invalidated on data updates); off re-enumerates every "
-             "call",
-    )
-
-
-def _plan_cache_enabled(args):
-    return getattr(args, "plan_cache", "on") == "on"
-
-
 def _load_model(args, database):
     from repro.deepdb import DeepDB
 
-    return DeepDB.load(
-        args.model, database, plan_cache=_plan_cache_enabled(args)
-    )
+    return DeepDB.load(args.model, database)
 
 
 def _cmd_train(args, out):
@@ -324,10 +310,7 @@ def _cmd_serve(args, out):
     database = _build_database(args)
     name = args.dataset
     registry = ModelRegistry()
-    catalog = registry.register_store(
-        name, args.model, database, cache_size=args.cache_size,
-        plan_cache=_plan_cache_enabled(args),
-    )
+    catalog = registry.register_store(name, args.model, database)
     print(f"store-backed model {name!r}: {catalog['blob_bytes']:,} blob "
           "bytes, maps in (mmap) on first query", file=out)
     server = ServingServer(
@@ -640,7 +623,6 @@ def build_parser():
                       help="re-optimise mid-execution when a join "
                            "materialises more than this multiple of its "
                            "estimate (default 16; inf disables)")
-    _add_plan_cache_argument(plan)
     plan.set_defaults(handler=_cmd_plan)
 
     serve = commands.add_parser(
@@ -658,13 +640,10 @@ def build_parser():
                        help="coalescer flush deadline in ms (default 2)")
     serve.add_argument("--max-inflight", type=int, default=1024,
                        help="admission-control cap on in-flight requests")
-    serve.add_argument("--cache-size", type=int, default=256,
-                       help="LRU result-cache entries (0 disables)")
     serve.add_argument("--drift-interval", type=float, default=0,
                        help="re-validate the loaded model's column splits "
                             "every N seconds in the background, shadow-"
                             "rebuilding drifted RSPNs (0 = off)")
-    _add_plan_cache_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     ingest = commands.add_parser(

@@ -1175,10 +1175,10 @@ class MappedCompiledRSPN(CompiledRSPN):
 # ----------------------------------------------------------------------
 # Mutations never pop the cache directly; they bump the root's
 # *generation* and the next ``compiled_for`` notices the mismatch and
-# re-lowers.  The same counter is the invalidation hook the serving
-# layer's result cache rides (surfaced as ``RSPN.generation`` and
-# ``SPNEnsemble.generation``), so one mechanism answers both "is this
-# compiled form stale?" and "are cached query results stale?".
+# re-lowers.  The same counter is the epoch the plan cache rides
+# (surfaced as ``RSPN.generation`` and ``SPNEnsemble.generation``), so
+# one mechanism answers both "is this compiled form stale?" and "is
+# this cached plan stale?".
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _GENERATIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 

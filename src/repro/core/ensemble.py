@@ -96,11 +96,10 @@ class SPNEnsemble:
 
         Moves whenever any member RSPN absorbs an insert/delete (or is
         invalidated out-of-band) and whenever the ensemble itself gains
-        an RSPN.  Anything caching results derived from this ensemble --
-        the serving layer's LRU result cache in particular -- records
-        the generation it computed under and drops its entries when the
-        current value differs, instead of guessing which update paths
-        exist.  The compiled flat-array forms ride the same per-RSPN
+        an RSPN.  Anything caching state derived from this ensemble --
+        the plan cache in particular -- records the generation it
+        computed under and drops its entries when the current value
+        differs, instead of guessing which update paths exist.  The compiled flat-array forms ride the same per-RSPN
         counters (:attr:`~repro.core.rspn.RSPN.generation`).
         """
         return self._structure_generation + sum(

@@ -108,10 +108,6 @@ class DriftReport:
     def has_drift(self):
         return bool(self.violations)
 
-    @property
-    def max_rdc(self):
-        return max((v for _a, _b, v in self.violations), default=0.0)
-
     def describe(self):
         tables = "/".join(sorted(self.rspn.tables))
         if not self.has_drift:

@@ -18,10 +18,6 @@ class Node:
     def __init__(self, scope):
         self.scope = tuple(scope)
 
-    @property
-    def scope_set(self):
-        return frozenset(self.scope)
-
 
 class SumNode(Node):
     """Mixture over row clusters.

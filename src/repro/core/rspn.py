@@ -229,8 +229,8 @@ class RSPN:
         Every :meth:`insert`/:meth:`delete` (and any out-of-band
         :meth:`invalidate_compiled`) bumps it.  Consumers that cache
         anything derived from this RSPN -- the compiled flat-array form,
-        a serving-layer result cache -- compare generations instead of
-        guessing when to invalidate.
+        the plan cache -- compare generations instead of guessing when
+        to invalidate.
         """
         from repro.core import compiled
 

@@ -255,13 +255,13 @@ class DeepDB:
         """Monotonic change counter of the underlying ensemble.
 
         This is the **single invalidation hook** for anything caching
-        results computed from this model: record the generation a result
-        was computed under, and treat the result as stale once
-        ``deepdb.generation`` differs.  Every :meth:`insert` /
-        :meth:`delete` moves it (as does out-of-band tree maintenance),
-        which is how the serving layer's LRU result cache and the
-        compiled flat-array cache stay correct without knowing about
-        individual update paths.
+        state computed from this model: record the generation it was
+        computed under, and treat it as stale once ``deepdb.generation``
+        differs.  Every :meth:`insert` / :meth:`delete` moves it (as
+        does out-of-band tree maintenance), which is how the plan cache
+        (its epoch) and the compiled flat-array forms stay correct
+        without knowing about individual update paths.  Answers
+        themselves are never cached.
         """
         return self.ensemble.generation
 

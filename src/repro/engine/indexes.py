@@ -27,9 +27,6 @@ class _Adjacency:
     def degree(self, i):
         return int(self.offsets[i + 1] - self.offsets[i])
 
-    def degrees(self, indices):
-        return (self.offsets[indices + 1] - self.offsets[indices]).astype(np.int64)
-
 
 class JoinIndex:
     """All FK adjacencies of a database, in both directions."""

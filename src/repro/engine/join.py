@@ -389,15 +389,6 @@ def join_learning_columns(database, tables):
     return columns
 
 
-def single_table_frame(table):
-    """(column names, data matrix) for learning a single-table RSPN."""
-    names = [qualify(table.name, a.name) for a in table.schema.non_key_attributes]
-    data = np.column_stack(
-        [table.columns[a.name] for a in table.schema.non_key_attributes]
-    ) if names else np.empty((table.n_rows, 0))
-    return names, data
-
-
 def join_frame(join_result, columns):
     """Materialise the listed qualified columns of a join as a matrix."""
     if not columns:

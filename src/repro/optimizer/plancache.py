@@ -13,16 +13,14 @@ keyed on
 - the **epoch**: the model generation -- any data update changes the
   estimates behind every cached plan, so the whole cache invalidates.
 
-:class:`PlanCache` is a :class:`repro.lru.LRUCache`, the same class
-behind the serving result cache, so operators watch both through
-``/stats`` with the same hit/miss/invalidation/eviction counters.
+Its hit/miss/eviction/invalidation counters ride ``/stats`` under
+``models.<name>.plan_cache``.
 """
 
 from __future__ import annotations
 
 import threading
-
-from repro.lru import LRUCache
+from collections import OrderedDict
 
 
 def cache_epoch(estimator):
@@ -37,21 +35,27 @@ def cache_epoch(estimator):
     return generation
 
 
-class PlanCache(LRUCache):
-    """LRU cache of ``(plan, estimated_cost, oracle)`` planning entries.
+class PlanCache:
+    """Thread-safe LRU cache of ``(plan, estimated_cost, oracle)``
+    planning entries.
 
     An entry is keyed on ``(query.normalized(), linear)``.  The caller
     passes the current epoch (see :func:`cache_epoch`) to every
     ``lookup`` / ``store``; an epoch change clears the cache and counts
-    one invalidation, exactly like the serving result cache's
-    generation-riding invalidation.
+    one invalidation.
     """
 
     def __init__(self, maxsize=128):
-        super().__init__(maxsize)
-        # Serializes the epoch check with the lookup/store it guards.
-        self._epoch_lock = threading.Lock()
+        self.maxsize = int(maxsize)
+        self._entries: OrderedDict = OrderedDict()
+        # One lock serializes the epoch check with the lookup/store it
+        # guards and the LRU order with the counters.
+        self._lock = threading.Lock()
         self._epoch = None
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
 
     @staticmethod
     def key(query, linear=False):
@@ -66,37 +70,51 @@ class PlanCache(LRUCache):
     def lookup(self, query, epoch, linear=False):
         """The cached entry for ``query`` at ``epoch``, or ``None``."""
         key = self.key(query, linear)
-        with self._epoch_lock:
+        with self._lock:
             self._sync_locked(epoch)
-            return self.get(key)[1]
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return entry
 
     def store(self, query, entry, epoch, linear=False):
         """Cache ``entry`` for ``query`` at ``epoch``."""
         key = self.key(query, linear)
-        with self._epoch_lock:
+        with self._lock:
             self._sync_locked(epoch)
-            self.put(key, entry)
-
-    def invalidate(self):
-        """Drop every entry (counted), e.g. on an explicit flush."""
-        self.clear(invalidated=True)
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def _sync_locked(self, epoch):
         if epoch == self._epoch:
             return
-        if self._epoch is not None and len(self):
-            self.clear(invalidated=True)
+        if self._epoch is not None and self._entries:
+            self._entries.clear()
+            self.invalidations += 1
         self._epoch = epoch
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def __len__(self):
+        with self._lock:
+            return len(self._entries)
+
     def snapshot(self):
-        """Counter snapshot for ``/stats`` (the result cache's counters,
-        ``size`` for its ``entries``, plus the current epoch)."""
-        with self._epoch_lock:
-            snap = super().snapshot()
-            epoch = self._epoch
-        snap["size"] = snap.pop("entries")
-        snap["epoch"] = epoch
-        return snap
+        """Counter snapshot for ``/stats``."""
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "maxsize": self.maxsize,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "invalidations": self.invalidations,
+                "epoch": self._epoch,
+            }

@@ -37,10 +37,6 @@ class Attribute:
     def is_key(self):
         return self.kind == KEY
 
-    @property
-    def is_numeric(self):
-        return self.kind == NUMERIC
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -79,10 +75,6 @@ class TableSchema:
 
     def has_attribute(self, name):
         return any(attr.name == name for attr in self.attributes)
-
-    @property
-    def attribute_names(self):
-        return [attr.name for attr in self.attributes]
 
     @property
     def non_key_attributes(self):

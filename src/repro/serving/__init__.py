@@ -9,8 +9,10 @@ This package turns that concurrency into batch shape:
   concurrent requests, flush by ``max_batch_size`` or ``max_wait_ms``
   into one batched call, answer per-request futures;
 - :mod:`repro.serving.session` -- one servable model: snapshot reads
-  vs. exclusive updates (read-write lock) and a generation-checked LRU
-  result cache;
+  vs. exclusive updates (read-write lock).  There is no result cache:
+  every update changes every answer, so a cache keyed on query text
+  would hit only on verbatim repeats between commits.  The model
+  generation is what the plan cache and the compiled forms check;
 - :mod:`repro.serving.registry` -- the one model a process serves; a
   store-backed model (:mod:`repro.core.modelstore`) registers by file
   and loads lazily on first use (mmap, millisecond cold start);
@@ -44,7 +46,6 @@ from repro.serving.session import (
     ModelSession,
     ReadWriteLock,
     Request,
-    ResultCache,
     normalize_sql,
 )
 
@@ -56,7 +57,6 @@ __all__ = [
     "ModelSession",
     "ReadWriteLock",
     "Request",
-    "ResultCache",
     "ServerOverloadedError",
     "ServingServer",
     "normalize_sql",

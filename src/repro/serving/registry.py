@@ -29,24 +29,23 @@ class ModelRegistry:
     def __init__(self):
         self.name = None
         self._session = None
-        # How to load a store-backed model: its registration record.
+        # How to load a store-backed model: ``(path, database)``.
         self._store = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, name, deepdb, cache_size=256) -> ModelSession:
+    def register(self, name, deepdb) -> ModelSession:
         """Wrap ``deepdb`` in the serving session registered as ``name``.
 
         The model belongs to the caller: :meth:`close` leaves it open."""
         with self._lock:
             self._claim(name)
-            self._session = ModelSession(name, deepdb, cache_size=cache_size)
+            self._session = ModelSession(name, deepdb)
             return self._session
 
-    def register_store(self, name, path, database, cache_size=256,
-                       kernel=None, plan_cache=True) -> dict:
+    def register_store(self, name, path, database, kernel=None) -> dict:
         """Register the model by store file without loading it.
 
         Validates the header (magic, CRC, version -- raising
@@ -62,12 +61,7 @@ class ModelRegistry:
         catalog = read_catalog(path)
         with self._lock:
             self._claim(name)
-            self._store = {
-                "path": catalog["path"],
-                "database": database,
-                "cache_size": cache_size,
-                "plan_cache": plan_cache,
-            }
+            self._store = (catalog["path"], database)
             return catalog
 
     def _claim(self, name):
@@ -103,11 +97,7 @@ class ModelRegistry:
         # scale, so loading under the lock rules out a double load.
         from repro.deepdb import DeepDB
 
-        store = self._store
-        deepdb = DeepDB.load(
-            store["path"], store["database"], plan_cache=store["plan_cache"]
-        )
-        return ModelSession(self.name, deepdb, cache_size=store["cache_size"])
+        return ModelSession(self.name, DeepDB.load(*self._store))
 
     def loaded_session(self) -> ModelSession | None:
         """The session if the model is in memory, else ``None``; never

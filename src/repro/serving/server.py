@@ -32,8 +32,10 @@ Endpoints::
                   so it flushes as one staged commit, with per-slot
                   results
     GET  /stats   per-endpoint latency/throughput, query and update
-                  coalescer occupancy, cache and admission counters, and
-                  "drift_monitor" (when --drift-interval is set)
+                  coalescer occupancy, admission counters, the model's
+                  generation and plan-cache counters (there is no
+                  result cache), and "drift_monitor" (when
+                  --drift-interval is set)
 
 A ``/query`` or ``/update`` body may carry ``"database"``: absent or
 the model's name is served, any other name is a 400.  Overload (reads
@@ -76,12 +78,12 @@ class AsyncDeepDB:
     """
 
     def __init__(self, models, max_batch_size=32, max_wait_ms=2.0,
-                 max_inflight=1024, cache_size=256):
+                 max_inflight=1024):
         if isinstance(models, ModelRegistry):
             self.registry = models
         else:
             self.registry = ModelRegistry()
-            self.registry.register("default", models, cache_size=cache_size)
+            self.registry.register("default", models)
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.max_inflight = int(max_inflight)
@@ -143,8 +145,8 @@ class AsyncDeepDB:
     # Updates (coalesced onto the batch write path)
     # ------------------------------------------------------------------
     async def insert(self, table, row, database=None) -> int:
-        """Insert one tuple.  Returns the new generation (the
-        result-cache invalidation token)."""
+        """Insert one tuple.  Returns the new generation (the epoch the
+        plan cache and the compiled forms check)."""
         return await self.update("insert", table, row, database)
 
     async def delete(self, table, row, database=None) -> int:
@@ -234,9 +236,10 @@ class AsyncDeepDB:
         return self._updates
 
     def stats(self) -> dict:
-        """Admission and coalescing counters, and the model's cache
-        counters; ``coalescers``, ``update_coalescers`` and ``models``
-        are keyed by the model's name (empty until its first use)."""
+        """Admission and coalescing counters, and the model's state
+        (generation, plan cache, kernel); ``coalescers``,
+        ``update_coalescers`` and ``models`` are keyed by the model's
+        name (empty until its first use)."""
         name = self.registry.name
         return {
             "admission": {

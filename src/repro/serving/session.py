@@ -1,4 +1,4 @@
-"""Serving sessions: snapshot reads, update exclusion and result caching.
+"""Serving sessions: snapshot reads and update exclusion.
 
 A :class:`ModelSession` wraps one named :class:`~repro.deepdb.DeepDB`
 instance with the state the serving layer needs around it:
@@ -7,17 +7,19 @@ instance with the state the serving layer needs around it:
   read acquisition (one consistent snapshot of the model), while
   ``insert``/``delete`` maintenance takes the exclusive write side, so
   queries never observe a half-applied update;
-- an **LRU result cache** keyed on ``(kind, normalized SQL text)``.
-  Invalidation is not guessed per update path: the cache records the
-  model's :attr:`~repro.deepdb.DeepDB.generation` and drops all entries
-  as soon as the current generation differs (every insert/delete and
-  any out-of-band maintenance moves the counter);
 - the **batch runner** (:meth:`ModelSession.run_batch`) the coalescer
   flushes into: it parses each request individually (a parse error
-  fails only that request), deduplicates identical request texts,
-  serves cache hits, and answers the rest through the batched estimator
-  protocol -- ``cardinality_batch`` / ``answer_batch`` and the
-  prefetching plan oracle.
+  fails only that request), computes identical request texts once per
+  flush, and answers through the batched estimator protocol --
+  ``cardinality_batch`` / ``answer_batch`` and the prefetching plan
+  oracle.
+
+There is no result cache: DeepDB answers ad-hoc queries from the model,
+and every update changes every answer, so a cache keyed on query text
+hits only on verbatim repeats with no commit in between.  What is
+cached is keyed on the model's :attr:`~repro.deepdb.DeepDB.generation`
+instead -- the plan cache and the compiled forms -- and goes stale the
+moment an update moves it.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.lru import LRUCache as ResultCache
-
 KINDS = ("cardinality", "approximate", "plan")
 
 _STRING_LITERAL = re.compile(r"('[^']*')")
 
 
 def normalize_sql(sql: str) -> str:
-    """Cache key normalization: collapse whitespace runs *outside*
+    """In-flush dedup key: collapse whitespace runs *outside*
     string literals, drop a trailing semicolon.  Literal content is
     preserved verbatim (``'EU  X'`` and ``'EU X'`` are different
     values) and identifier case is preserved (identifiers are
@@ -50,8 +50,8 @@ def normalize_sql(sql: str) -> str:
 def _copy_result(value):
     """Results are handed out by value: mutable answers (GROUP BY
     dicts, plan dicts -- both flat, with scalar values) are shallow-
-    copied so a client mutating its answer cannot corrupt the cache or
-    a batchmate's result."""
+    copied so a client mutating its answer cannot corrupt a batchmate's
+    result."""
     return dict(value) if isinstance(value, dict) else value
 
 
@@ -110,7 +110,7 @@ class ReadWriteLock:
 class ModelSession:
     """One named, servable DeepDB model (see module docstring)."""
 
-    def __init__(self, name, deepdb, cache_size=256):
+    def __init__(self, name, deepdb):
         self.name = name
         self.deepdb = deepdb
         self._rwlock = ReadWriteLock()
@@ -119,9 +119,6 @@ class ModelSession:
         # live tree -- and the exclusive write lock is taken just for
         # the O(touched-nodes) pointer-swap commit.
         self._ingest_lock = threading.Lock()
-        self._cache = ResultCache(cache_size)
-        self._generation_lock = threading.Lock()
-        self._cache_generation = deepdb.generation
 
     # ------------------------------------------------------------------
     # Queries
@@ -133,37 +130,30 @@ class ModelSession:
         slot holds the raising ``Exception`` instance (the coalescer's
         per-slot error contract), so one bad query never fails its
         batchmates.  Identical normalized requests within the batch are
-        computed once; every slot (and the cache) receives its own copy
-        of mutable answers.
+        computed once; every slot receives its own copy of mutable
+        answers.
         """
         results = [None] * len(requests)
+        todo: dict[str, OrderedDict] = {kind: OrderedDict() for kind in KINDS}
+        for i, request in enumerate(requests):
+            kind = getattr(request, "kind", None)
+            if kind not in KINDS:
+                results[i] = ValueError(
+                    f"unknown request kind {kind!r}; expected one of {KINDS}"
+                )
+                continue
+            todo[kind].setdefault(normalize_sql(request.sql), []).append(i)
         with self._rwlock.read():
-            cache = self._checked_cache()
-            todo: dict[str, OrderedDict] = {kind: OrderedDict() for kind in KINDS}
-            for i, request in enumerate(requests):
-                kind = getattr(request, "kind", None)
-                if kind not in KINDS:
-                    results[i] = ValueError(
-                        f"unknown request kind {kind!r}; expected one of {KINDS}"
-                    )
-                    continue
-                key = (kind, normalize_sql(request.sql))
-                hit, value = cache.get(key)
-                if hit:
-                    results[i] = _copy_result(value)
-                else:
-                    todo[kind].setdefault(key, []).append(i)
             self._answer_batched(
-                todo["cardinality"], results, cache,
+                todo["cardinality"], results,
                 lambda queries: [
                     float(v) for v in self.deepdb.cardinality_batch(queries)
                 ],
             )
             self._answer_batched(
-                todo["approximate"], results, cache,
-                self.deepdb.approximate_batch,
+                todo["approximate"], results, self.deepdb.approximate_batch,
             )
-            self._answer_plans(todo["plan"], results, cache)
+            self._answer_plans(todo["plan"], results)
         return results
 
     def run_one(self, request):
@@ -173,19 +163,19 @@ class ModelSession:
             raise result
         return result
 
-    def _answer_batched(self, pending, results, cache, batch_fn):
+    def _answer_batched(self, pending, results, batch_fn):
         """Parse, batch-evaluate and distribute one kind's requests.
 
-        ``pending`` maps cache key -> indices sharing that key; parsing
-        happens per key with per-slot error capture, evaluation happens
-        in **one** batched call for every key that parsed.
+        ``pending`` maps normalized SQL -> indices sharing that text;
+        parsing happens per text with per-slot error capture, evaluation
+        happens in **one** batched call for every text that parsed.
         """
         if not pending:
             return
         parsed, keys = [], []
         for key, indices in pending.items():
             try:
-                parsed.append(self.deepdb.parse(key[1]))
+                parsed.append(self.deepdb.parse(key))
                 keys.append(key)
             except Exception as error:
                 for i in indices:
@@ -200,17 +190,16 @@ class ModelSession:
                     results[i] = error
             return
         for key, value in zip(keys, values):
-            cache.put(key, _copy_result(value))
             for i in pending[key]:
                 results[i] = _copy_result(value)
 
-    def _answer_plans(self, pending, results, cache):
+    def _answer_plans(self, pending, results):
         """Plan requests: each is already one batched prefetch internally
         (``SubqueryCardinalities`` answers every connected subset's
         sub-query in a single ``cardinality_batch`` call)."""
         for key, indices in pending.items():
             try:
-                plan, cost, oracle = self.deepdb.plan(key[1])
+                plan, cost, oracle = self.deepdb.plan(key)
                 value = {
                     "plan": plan.describe(),
                     "estimated_cost": float(cost),
@@ -221,7 +210,6 @@ class ModelSession:
                 for i in indices:
                     results[i] = error
                 continue
-            cache.put(key, _copy_result(value))
             for i in indices:
                 results[i] = _copy_result(value)
 
@@ -272,29 +260,6 @@ class ModelSession:
             with self._rwlock.write():
                 yield
 
-    def invalidate(self):
-        """Explicitly drop all cached results (normally unnecessary:
-        the generation check does this automatically)."""
-        self._cache.clear(invalidated=True)
-        plan_cache = getattr(self.deepdb, "plan_cache", None)
-        if plan_cache is not None:
-            plan_cache.invalidate()
-
-    def _checked_cache(self):
-        """The result cache, emptied first if the model's generation
-        moved since the last look -- the single invalidation hook.
-        The plan cache invalidates alongside it: plans were chosen
-        under the old generation's estimates."""
-        generation = self.deepdb.generation
-        with self._generation_lock:
-            if generation != self._cache_generation:
-                self._cache.clear(invalidated=True)
-                plan_cache = getattr(self.deepdb, "plan_cache", None)
-                if plan_cache is not None:
-                    plan_cache.invalidate()
-                self._cache_generation = generation
-        return self._cache
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -305,7 +270,6 @@ class ModelSession:
         snap = {
             "name": self.name,
             "generation": self.deepdb.generation,
-            "cache": self._cache.snapshot(),
         }
         plan_cache = getattr(self.deepdb, "plan_cache", None)
         if plan_cache is not None:

@@ -180,14 +180,6 @@ class TestPlanCacheUnit:
         assert cache.lookup(_q(30.0), 5) is None
         assert cache.invalidations == 0
 
-    def test_explicit_invalidate(self):
-        cache = PlanCache()
-        cache.store(_q(30.0), "entry", 0)
-        cache.invalidate()
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-        assert cache.lookup(_q(30.0), 0) is None
-
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         queries = [_q(10.0), _q(20.0), _q(30.0)]
@@ -378,7 +370,7 @@ class TestDeepDBPlanCache:
 class TestServingPlanCache:
     def test_snapshot_and_generation_invalidation(self, adaptive_db):
         deepdb = DeepDB.learn(adaptive_db)
-        session = ModelSession("adaptive", deepdb, cache_size=16)
+        session = ModelSession("adaptive", deepdb)
         request = Request("plan", _JOIN_SQL)
         session.run_one(request)
         snap = session.snapshot()
@@ -387,18 +379,12 @@ class TestServingPlanCache:
         invalidations = deepdb.plan_cache.invalidations
         session.insert("customer", {"c_id": 999_991.0, "region": "ASIA",
                                     "age": 28.0})
-        # The generation check that drops the result cache drops the
-        # plan cache alongside it.
+        # The plan cache's own epoch check sees the moved generation on
+        # the next plan request: exactly one invalidation, and a re-plan.
         session.run_one(request)
         assert deepdb.plan_cache.invalidations == invalidations + 1
-
-    def test_explicit_invalidate_reaches_the_plan_cache(self, adaptive_db):
-        deepdb = DeepDB.learn(adaptive_db)
-        session = ModelSession("adaptive2", deepdb, cache_size=16)
-        session.run_one(Request("plan", _JOIN_SQL))
-        session.invalidate()
-        assert deepdb.plan_cache.invalidations == 1
-        assert len(deepdb.plan_cache) == 0
+        assert deepdb.plan_cache.snapshot()["epoch"] == deepdb.generation
+        assert len(deepdb.plan_cache) == 1
 
 
 # ----------------------------------------------------------------------

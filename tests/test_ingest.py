@@ -411,7 +411,7 @@ class TestScopeTablesFollowUpdates:
         a batch through the serving session, re-run the probes, and no
         table is built."""
         deepdb = _clone(template_deepdb)
-        session = ModelSession("m", deepdb, cache_size=0)
+        session = ModelSession("m", deepdb)
 
         def served():
             return [float(value) for value in session.run_batch(
@@ -556,7 +556,7 @@ class TestUpdateValidation:
 class TestSessionIngest:
     def test_session_apply_batch_and_single_ops(self, template_deepdb):
         deepdb = _clone(template_deepdb)
-        session = ModelSession("m", deepdb, cache_size=0)
+        session = ModelSession("m", deepdb)
         generation = session.insert("customer", {"region": "EU", "age": 40})
         assert generation == deepdb.generation
         results = session.apply_batch(
@@ -589,7 +589,7 @@ class TestSessionIngest:
             twin.apply_update_batch(batch)
             allowed.append(float(twin.cardinality_batch([probe])[0]))
 
-        session = ModelSession("m", deepdb, cache_size=0)
+        session = ModelSession("m", deepdb)
         observed = []
         stop = threading.Event()
         errors = []
@@ -729,7 +729,7 @@ class TestWriterThread:
         expected = deepdb.cardinality(PROBE)
         hold = _HeldStaging(monkeypatch)
         registry = ModelRegistry()
-        registry.register("m", deepdb, cache_size=0)
+        registry.register("m", deepdb)
         update = {"op": "insert", "table": "customer",
                   "row": {"region": "EU", "age": 44}}
         with start_server(registry) as server:
@@ -750,7 +750,7 @@ class TestWriterThread:
 
         expected = deepdb.cardinality(PROBE)
         hold = _HeldStaging(monkeypatch)
-        async_db = AsyncDeepDB(deepdb, cache_size=0)
+        async_db = AsyncDeepDB(deepdb)
 
         async def scenario():
             pending = asyncio.ensure_future(async_db.update_batch(

@@ -352,3 +352,48 @@ class TestServeCli:
         output = log.read_text()
         assert "shutting down" in output
         assert "ResourceWarning" not in output
+
+    def test_serve_closes_socket_and_store_on_ctrl_c(
+        self, trained_model, monkeypatch
+    ):
+        """In-process ``repro serve``: a Ctrl-C in ``serve_forever``
+        exits 0 with the listening socket closed and the store unmapped
+        (a server subprocess takes both leaks with it when it exits)."""
+        import gc
+        from pathlib import Path
+
+        from repro.core import modelstore
+        from repro.serving import ServingServer
+        from tests.conftest import mapped_store_files
+
+        store_file = str(Path(trained_model).resolve())
+        served = []
+        serve_forever = ServingServer.serve_forever
+
+        def ctrl_c():
+            raise KeyboardInterrupt
+
+        def interrupted(server):
+            served.append(server)
+            # Answer one query first, so the store is mapped in.
+            server.call(server.async_db.cardinality(self.SQLS[0]))
+            assert store_file in mapped_store_files()
+            # Ctrl-C lands inside the HTTP loop, which marks itself shut
+            # down on the way out (close() waits for that).
+            server._http.service_actions = ctrl_c
+            serve_forever(server)
+
+        monkeypatch.setattr(ServingServer, "serve_forever", interrupted)
+        out = _Capture()
+        code = main(["serve", *self.DATASET, "--model", str(trained_model),
+                     "--port", "0"], out=out)
+        assert code == 0
+        assert "shutting down" in out.text
+        (server,) = served
+        assert server._http.socket.fileno() == -1  # listener closed
+        assert server.registry.loaded_session() is None  # store released
+        served.clear()
+        del server
+        gc.collect()
+        modelstore.sweep_pending()
+        assert store_file not in mapped_store_files()

@@ -26,6 +26,7 @@ from repro.deepdb import DeepDB
 from repro.serving import (
     AsyncDeepDB,
     ModelRegistry,
+    ModelSession,
     ReadWriteLock,
     Request,
     ServerOverloadedError,
@@ -79,7 +80,7 @@ class TestCoalescedEquivalence:
 
         total = len(CARDINALITY_SQLS) + len(APPROXIMATE_SQLS) + 1
         async_db = AsyncDeepDB(
-            deepdb, max_batch_size=total, max_wait_ms=50, cache_size=0
+            deepdb, max_batch_size=total, max_wait_ms=50
         )
         results = gather_on(async_db, lambda adb: (
             [adb.cardinality(sql) for sql in CARDINALITY_SQLS]
@@ -119,7 +120,7 @@ class TestCoalescedEquivalence:
         serial = {key: deepdb.cardinality(sql) for key, sql in queries.items()}
 
         async_db = AsyncDeepDB(
-            deepdb, max_batch_size=12, max_wait_ms=5, cache_size=0
+            deepdb, max_batch_size=12, max_wait_ms=5
         )
         answers = {}
 
@@ -139,7 +140,7 @@ class TestCoalescedEquivalence:
 
     def test_parse_error_fails_only_its_own_future(self, served_deepdb):
         async_db = AsyncDeepDB(
-            served_deepdb, max_batch_size=3, max_wait_ms=50, cache_size=0
+            served_deepdb, max_batch_size=3, max_wait_ms=50
         )
         results = gather_on(async_db, lambda adb: [
             adb.cardinality(CARDINALITY_SQLS[0]),
@@ -153,7 +154,17 @@ class TestCoalescedEquivalence:
         assert stats["flushes"] == 1
         assert stats["failed_requests"] == 1
 
-    def test_duplicate_requests_share_one_computation(self, served_deepdb):
+    def test_duplicate_requests_share_one_computation(
+        self, served_deepdb, monkeypatch
+    ):
+        computed = []
+        batch = served_deepdb.cardinality_batch
+
+        def counting_batch(queries):
+            computed.append(len(queries))
+            return batch(queries)
+
+        monkeypatch.setattr(served_deepdb, "cardinality_batch", counting_batch)
         async_db = AsyncDeepDB(served_deepdb, max_batch_size=4, max_wait_ms=50)
         sql = CARDINALITY_SQLS[0]
         spaced = "  " + sql.replace(" WHERE ", "\n WHERE  ") + " ; "
@@ -161,11 +172,12 @@ class TestCoalescedEquivalence:
             adb.cardinality(sql), adb.cardinality(spaced),
             adb.cardinality(sql), adb.cardinality(CARDINALITY_SQLS[2]),
         ])
+        # Normalization folded the three variants onto one query: one
+        # batched call computed two queries for four requests.
+        assert computed == [2]
         assert results[0] == results[1] == results[2]
         assert results[0] == served_deepdb.cardinality(sql)
-        session = async_db.registry.session()
-        # Normalization folded the three variants onto one cache entry.
-        assert session.snapshot()["cache"]["entries"] == 2
+        assert results[3] == served_deepdb.cardinality(CARDINALITY_SQLS[2])
 
 
 class TestSessionAndRegistry:
@@ -180,19 +192,15 @@ class TestSessionAndRegistry:
             "SELECT COUNT(*) FROM t WHERE t.r = 'EU X'"
         )
 
-    def test_cache_hit_returns_equal_private_copy(self, served_deepdb):
-        registry = ModelRegistry()
-        session = registry.register("orders_db", served_deepdb)
-        first = session.run_one(Request("approximate", APPROXIMATE_SQLS[1]))
-        before = session.snapshot()["cache"]
-        second = session.run_one(Request("approximate", APPROXIMATE_SQLS[1]))
-        assert second == first  # cached: bit-identical values
-        assert second is not first  # ...but a private copy per client
-        assert session.snapshot()["cache"]["hits"] == before["hits"] + 1
-        # Mutating a handed-out answer must not corrupt the cache.
-        second.clear()
-        third = session.run_one(Request("approximate", APPROXIMATE_SQLS[1]))
-        assert third == first
+    def test_batchmates_get_private_copies(self, served_deepdb):
+        session = ModelSession("orders_db", served_deepdb)
+        request = Request("approximate", APPROXIMATE_SQLS[1])
+        first, second = session.run_batch([request, request])
+        assert first == second == served_deepdb.approximate(request.sql)
+        assert first is not second  # computed once, copied per slot
+        # Mutating one slot's answer must not reach its batchmate's.
+        first.clear()
+        assert second == served_deepdb.approximate(request.sql)
 
     def test_registry_routes_by_name(self, served_deepdb):
         """One model: its name (or none) routes to it, a second
@@ -316,7 +324,7 @@ class TestServingUnderUpdates:
         sql = "SELECT COUNT(*) FROM customer WHERE customer.age > 30"
         before = deepdb.cardinality(sql)
         async_db = AsyncDeepDB(
-            deepdb, max_batch_size=4, max_wait_ms=1, cache_size=0
+            deepdb, max_batch_size=4, max_wait_ms=1
         )
         row = {"c_id": 600_000, "region": "EU", "age": 52}
 
@@ -353,7 +361,7 @@ class TestServingUnderUpdates:
         fresh = session.run_one(Request("cardinality", sql))
         assert fresh != cached  # recomputed on the updated model
         assert fresh == deepdb.cardinality(sql)
-        assert session.snapshot()["cache"]["invalidations"] >= 1
+        assert "cache" not in session.snapshot()  # answers are never cached
 
     def test_generation_counter_is_the_compiled_cache_check(
         self, served_deepdb
@@ -574,4 +582,10 @@ class TestHttpFrontEnd:
             assert stats["serving"]["coalescers"]["orders_db"]["requests"] >= 2
             assert stats["serving"]["update_coalescers"]["orders_db"][
                 "requests"] == 1
-            assert stats["serving"]["models"]["orders_db"]["cache"]["misses"] >= 2
+            model = stats["serving"]["models"]["orders_db"]
+            assert "cache" not in model  # there is no result cache
+            assert set(model["plan_cache"]) == {
+                "size", "maxsize", "hits", "misses", "evictions",
+                "invalidations", "epoch",
+            }
+            assert model["generation"] == served_deepdb.generation
